@@ -363,14 +363,10 @@ fn report_exec_layer(d: &Design, label: &str) {
     write_bench_json(rows_json, label);
 }
 
-/// One-shot A/B of the graph layer: timing-graph construction and pure
-/// propagation (serial, cache off, one-step coupling policy — the workload
-/// that walks fanout, levels and coupling adjacency hardest). Rows are
-/// tagged with [`xtalk::sta::graph::TimingGraph::LAYOUT`] so measurements
-/// taken on either side of the nested-to-CSR refactor stay attributable
-/// in `BENCH_sta.json`.
+/// One-shot measurement of the graph layer: timing-graph construction and
+/// pure propagation (serial, cache off, one-step coupling policy — the
+/// workload that walks fanout, levels and coupling adjacency hardest).
 fn report_graph_layer(d: &Design, label: &str) -> Vec<String> {
-    let layout = xtalk::sta::graph::TimingGraph::LAYOUT;
     // Graph construction, amortized over enough builds for a stable read.
     let iters: usize = match label {
         "small" => 50,
@@ -387,8 +383,7 @@ fn report_graph_layer(d: &Design, label: &str) -> Vec<String> {
     let (build_wall, build_cpu) = (build_wall / iters as f64, build_cpu / iters as f64);
 
     // Pure propagation over the built graph: serial, cache off, signoff —
-    // keeps the layout A/B rows recorded across the CSR refactor
-    // comparable (no macromodel short-circuits in the measured region).
+    // no macromodel short-circuits in the measured region.
     let sta = Sta::with_config(
         &d.netlist,
         &d.library,
@@ -401,7 +396,7 @@ fn report_graph_layer(d: &Design, label: &str) -> Vec<String> {
         timed(|| sta.analyze(AnalysisMode::OneStep).expect("one-step"));
 
     println!(
-        "graph_layer/{label}: layout {layout}, build {:.6} s wall / {:.6} s cpu (x{iters}), \
+        "graph_layer/{label}: build {:.6} s wall / {:.6} s cpu (x{iters}), \
          one-step propagation {prop_wall:.3} s wall / {prop_cpu:.3} s cpu ({} solves)",
         build_wall, build_cpu, report.stage_solves,
     );
@@ -409,7 +404,7 @@ fn report_graph_layer(d: &Design, label: &str) -> Vec<String> {
     let mut row = String::new();
     let _ = write!(
         row,
-        "{{\"bench\": \"graph_layer\", \"layout\": \"{layout}\", \"scale\": \"{label}\", \
+        "{{\"bench\": \"graph_layer\", \"scale\": \"{label}\", \
          \"gates\": {}, \"stages\": {}, \"arcs\": {}, \
          \"build_wall_s\": {build_wall:.6}, \"build_cpu_s\": {build_cpu:.6}, \
          \"onestep_wall_s\": {prop_wall:.6}, \"onestep_cpu_s\": {prop_cpu:.6}, \
@@ -695,28 +690,17 @@ fn report_serve_layer(d: &Design, label: &str) -> Vec<String> {
     rows
 }
 
-/// One-shot A/B of the scenario layer (DESIGN.md D14), two experiments:
-///
-/// 1. **Per-corner cost on the scale design.** The default ss/tt/ff
-///    matrix (one-step, shared executor) against three standalone
-///    single-corner runs — asserting each corner's bits are identical to
-///    its standalone run and recording per-corner wall time and Newton
-///    iterations both ways.
-/// 2. **Seed-hit savings on a duplicate-heavy workload.** Identical
-///    parallel slices behind a varied-fanout spine (uniform parasitics,
-///    signoff): the cross-corner admission plan recovers the recurring
-///    solves the cost policy declines, so the seeded matrix must spend
-///    strictly fewer total Newton iterations than the cold one — the
-///    savings the `saved_iters` field records. Routed random designs
-///    harvest an empty plan (no bitwise-equal loads), which is why the
-///    savings experiment runs on the structured fixture.
+/// One-shot measurement of the scenario layer (DESIGN.md D14): the
+/// default ss/tt/ff matrix (one-step, shared executor) against three
+/// standalone single-corner runs — asserting each corner's bits are
+/// identical to its standalone run and recording per-corner wall time and
+/// Newton iterations both ways.
 fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
     let corners = Corner::default_matrix();
     let mode = AnalysisMode::OneStep;
     let exec = || ExecConfig::from_env().expect("exec config");
     let mut rows = Vec::new();
 
-    // Experiment 1: the matrix vs standalone corners, on the scale design.
     // The per-corner characterization is timed apart from the solves
     // (`prewarm_wall_s` vs `solve_wall_s`; `wall_s` stays the total so the
     // row remains comparable with records taken before the split).
@@ -733,7 +717,7 @@ fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
     let (report, solve_wall, solve_cpu) = timed(|| matrix.run(&[mode]).expect("matrix run"));
     let (matrix_wall, matrix_cpu) = (matrix_pw_wall + solve_wall, matrix_pw_cpu + solve_cpu);
     println!(
-        "scenario_layer/{label}: seeded ss/tt/ff matrix {matrix_wall:.3} s wall / \
+        "scenario_layer/{label}: ss/tt/ff matrix {matrix_wall:.3} s wall / \
          {matrix_cpu:.3} s cpu ({matrix_pw_wall:.3} s prewarm + {solve_wall:.3} s solve; \
          {} newton iters)",
         report.total_iters()
@@ -742,7 +726,7 @@ fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
     let _ = write!(
         row,
         "{{\"bench\": \"sta_modes\", \"section\": \"scenario_layer\", \
-         \"engine\": \"matrix_seeded\", \"scale\": \"{label}\", \"gates\": {}, \
+         \"engine\": \"matrix\", \"scale\": \"{label}\", \"gates\": {}, \
          \"corners\": {}, \"wall_s\": {matrix_wall:.6}, \"cpu_s\": {matrix_cpu:.6}, \
          \"prewarm_wall_s\": {matrix_pw_wall:.6}, \"prewarm_cpu_s\": {matrix_pw_cpu:.6}, \
          \"solve_wall_s\": {solve_wall:.6}, \"solve_cpu_s\": {solve_cpu:.6}, \
@@ -780,64 +764,6 @@ fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
         rows.push(row);
     }
 
-    // Experiment 2: seed savings on the duplicate-heavy sliced fixture.
-    let text = sliced_fixture(60, 24, 8);
-    let netlist = xtalk::netlist::bench::parse(&text, &d.library).expect("parse fixture");
-    let parasitics = xtalk::layout::extract::Parasitics::empty(netlist.net_count());
-    let config = ExecConfig::serial().with_signoff(true);
-    let run = |seed: bool| {
-        let matrix = ScenarioMatrix::new(
-            &netlist,
-            &d.library,
-            &d.process,
-            &parasitics,
-            corners.clone(),
-            config.clone(),
-        )
-        .expect("sliced scenario")
-        .with_seeding(seed);
-        timed(move || matrix.run(&[mode]).expect("sliced run"))
-    };
-    let (seeded, seeded_wall, seeded_cpu) = run(true);
-    let (cold, cold_wall, cold_cpu) = run(false);
-    for (s, c) in seeded.corners.iter().zip(&cold.corners) {
-        assert_eq!(
-            s.reports[0].longest_delay.to_bits(),
-            c.reports[0].longest_delay.to_bits(),
-            "seeding moved corner {} bits",
-            s.corner
-        );
-    }
-    assert!(
-        seeded.total_iters() < cold.total_iters(),
-        "the seeded matrix must spend strictly fewer Newton iterations \
-         than the cold one ({} vs {})",
-        seeded.total_iters(),
-        cold.total_iters()
-    );
-    let saved = cold.total_iters() - seeded.total_iters();
-    println!(
-        "scenario_layer/{label}: sliced fixture seeded {} vs cold {} newton iters \
-         ({saved} saved by the cross-corner admission plan)",
-        seeded.total_iters(),
-        cold.total_iters()
-    );
-    for (engine, report, wall, cpu, saved) in [
-        ("sliced_seeded", &seeded, seeded_wall, seeded_cpu, saved),
-        ("sliced_cold", &cold, cold_wall, cold_cpu, 0),
-    ] {
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "{{\"bench\": \"sta_modes\", \"section\": \"scenario_layer\", \
-             \"engine\": \"{engine}\", \"scale\": \"{label}\", \"gates\": {}, \
-             \"wall_s\": {wall:.6}, \"cpu_s\": {cpu:.6}, \
-             \"newton_iters\": {}, \"saved_iters\": {saved}}}",
-            netlist.gate_count(),
-            report.total_iters(),
-        );
-        rows.push(row);
-    }
     rows
 }
 
@@ -995,73 +921,16 @@ fn report_char_layer(d: &Design, label: &str) -> Vec<String> {
     rows
 }
 
-/// The duplicate-heavy scenario fixture: a varied-fanout inverter spine
-/// (distinct signatures that exhaust the cache's admission warm-up and
-/// set its running cost mean) plus identical parallel slices whose cheap
-/// recurring solves the cost policy declines — the workload cross-corner
-/// seeding recovers. Mirrors `sliced_bench` in `sta::scenario`'s tests.
-fn sliced_fixture(spine: usize, slices: usize, depth: usize) -> String {
-    let mut text = String::new();
-    text.push_str("INPUT(h)\n");
-    for s in 0..slices {
-        let _ = writeln!(text, "INPUT(a{s})");
-    }
-    let _ = writeln!(text, "OUTPUT(hz)");
-    for s in 0..slices {
-        let _ = writeln!(text, "OUTPUT(z{s})");
-    }
-    let mut pads = Vec::new();
-    let mut prev = "h".to_string();
-    for k in 0..spine {
-        let out = if k + 1 == spine {
-            "hz".to_string()
-        } else {
-            format!("s{k}")
-        };
-        let _ = writeln!(text, "{out} = NOT({prev})");
-        for f in 0..(k % 9) {
-            let pad = format!("p{k}_{f}");
-            let _ = writeln!(text, "{pad} = NOT({prev})");
-            pads.push(pad);
-        }
-        prev = out;
-    }
-    for pad in &pads {
-        let _ = writeln!(text, "OUTPUT({pad})");
-    }
-    for s in 0..slices {
-        let mut prev = format!("a{s}");
-        for d in 0..depth {
-            let out = if d + 1 == depth {
-                format!("z{s}")
-            } else {
-                format!("c{s}_{d}")
-            };
-            let _ = writeln!(text, "{out} = NOT({prev})");
-            prev = out;
-        }
-    }
-    text
-}
-
 /// Writes `BENCH_sta.json`: the rows measured by this run plus every
-/// already-recorded row this run did *not* re-measure — other scales, and
-/// `graph_layer` rows of the other adjacency layout. That keeps the bench
-/// trajectory (expensive s38417 runs, the nested-vs-CSR A/B recorded
-/// across the refactor) alive through re-runs.
+/// already-recorded row of the other scales, so the bench trajectory
+/// (expensive s38417 runs) stays alive through re-runs.
 fn write_bench_json(mut rows: Vec<String>, label: &str) {
     let path = bench_json_path();
     let scale_tag = format!("\"scale\": \"{label}\"");
-    let layout_tag = format!("\"layout\": \"{}\"", xtalk::sta::graph::TimingGraph::LAYOUT);
     if let Ok(existing) = std::fs::read_to_string(&path) {
         for line in existing.lines() {
             let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('{') {
-                continue;
-            }
-            let remeasured = line.contains(&scale_tag)
-                && (!line.contains("\"bench\": \"graph_layer\"") || line.contains(&layout_tag));
-            if !remeasured {
+            if line.starts_with('{') && !line.contains(&scale_tag) {
                 rows.push(line.to_string());
             }
         }

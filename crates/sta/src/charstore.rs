@@ -27,7 +27,7 @@
 //! ```text
 //! u8 kind = 1
 //! u64 key        — macromodel::arc_key (GRID_VERSION + corner-sig keyed)
-//! u64 identity   — macromodel::arc_identity (corner-agnostic seed channel)
+//! u64 reserved   — written as zero, ignored on read
 //! model bytes    — ArcModel::to_bytes (fixed-length format v1)
 //! ```
 //!
@@ -47,11 +47,12 @@
 //! corner or another process replays into the model store under a key no
 //! analysis ever looks up — stale records are dead weight, never served,
 //! and the live arcs are simply re-characterized and appended under
-//! their current keys. The corner-agnostic `identity` field is the only
-//! cross-corner channel, and it can influence nothing but the *order* a
-//! new corner's prewarm walks its work list (each characterization is a
-//! deterministic function of `(process, arc)` and the model-store insert
-//! is first-wins, so ordering cannot change served bits).
+//! their current keys. Nothing crosses corners: each corner replays and
+//! characterizes under its own keys.
+//!
+//! The reserved slot of a kind-1 record is ignored on read, so stores
+//! whose slot is nonzero (earlier writers kept a corner-agnostic arc
+//! identity there) replay unchanged.
 //!
 //! # Corruption policy
 //!
@@ -116,9 +117,6 @@ pub struct CharStoreStats {
 /// What one [`CharStore::load`] call recovered.
 #[derive(Debug, Clone, Default)]
 pub struct Replayed {
-    /// Corner-agnostic arc identities seen on disk (any corner, any grid
-    /// revision) — the prewarm ordering seed channel.
-    pub seeds: HashSet<u64>,
     /// Arc models replayed by this call.
     pub models: u64,
     /// Corrupt records skipped by this call.
@@ -249,8 +247,8 @@ impl CharStore {
     /// model store (first-wins, via
     /// [`xtalk_wave::macromodel::insert_model`]) and liberty tables in
     /// this handle's map. Corrupt records are skipped per the module
-    /// policy. Returns the recovered seed-identity set and this call's
-    /// counts; lifetime totals accumulate in [`stats`](Self::stats).
+    /// policy. Returns this call's counts; lifetime totals accumulate in
+    /// [`stats`](Self::stats).
     ///
     /// # Errors
     ///
@@ -283,13 +281,8 @@ impl CharStore {
                 }
                 Some((payload, next)) => {
                     match payload.and_then(decode_record) {
-                        Some(Record::Arc {
-                            key,
-                            identity,
-                            model,
-                        }) => {
+                        Some(Record::Arc { key, model }) => {
                             let _ = xtalk_wave::macromodel::insert_model(key, *model);
-                            out.seeds.insert(identity);
                             out.models += 1;
                         }
                         Some(Record::Liberty { key, body }) => {
@@ -309,15 +302,15 @@ impl CharStore {
         Ok(out)
     }
 
-    /// Appends freshly characterized arc models as `(key, identity,
-    /// ArcModel::to_bytes)` triples, deduplicating by key against
-    /// everything already on disk, then flushes and syncs. Returns how
-    /// many records were written.
+    /// Appends freshly characterized arc models as `(key,
+    /// ArcModel::to_bytes)` pairs, deduplicating by key against everything
+    /// already on disk, then flushes and syncs. Returns how many records
+    /// were written.
     ///
     /// # Errors
     ///
     /// I/O errors from the underlying file.
-    pub fn append_models(&self, models: &[(u64, u64, Vec<u8>)]) -> std::io::Result<u64> {
+    pub fn append_models(&self, models: &[(u64, Vec<u8>)]) -> std::io::Result<u64> {
         if models.is_empty() {
             return Ok(0);
         }
@@ -325,7 +318,7 @@ impl CharStore {
         let mut deduped = 0u64;
         let mut writer = lock(&self.writer);
         let mut seen = lock(&self.seen);
-        for (key, identity, model) in models {
+        for (key, model) in models {
             if !seen.insert(*key) {
                 deduped += 1;
                 continue;
@@ -333,7 +326,7 @@ impl CharStore {
             let mut payload = Vec::with_capacity(17 + model.len());
             payload.push(KIND_ARC);
             payload.extend_from_slice(&key.to_le_bytes());
-            payload.extend_from_slice(&identity.to_le_bytes());
+            payload.extend_from_slice(&[0; 8]); // reserved slot
             payload.extend_from_slice(model);
             write_record(&mut writer, &payload)?;
             written += 1;
@@ -390,15 +383,8 @@ impl CharStore {
 
 /// One decoded store record.
 enum Record {
-    Arc {
-        key: u64,
-        identity: u64,
-        model: Box<ArcModel>,
-    },
-    Liberty {
-        key: u64,
-        body: Vec<u8>,
-    },
+    Arc { key: u64, model: Box<ArcModel> },
+    Liberty { key: u64, body: Vec<u8> },
 }
 
 /// Frames and writes one checksummed record.
@@ -429,13 +415,9 @@ fn decode_record(payload: &[u8]) -> Option<Record> {
     let (kind, key) = record_key(payload)?;
     match kind {
         KIND_ARC => {
-            let identity = u64::from_le_bytes(payload.get(9..17)?.try_into().ok()?);
+            // Bytes 9..17 are the reserved slot, skipped.
             let model = Box::new(ArcModel::from_bytes(payload.get(17..)?)?);
-            Some(Record::Arc {
-                key,
-                identity,
-                model,
-            })
+            Some(Record::Arc { key, model })
         }
         KIND_LIBERTY => {
             let body = payload.get(9..)?.to_vec();
@@ -625,13 +607,9 @@ mod tests {
         bytes
     }
 
-    fn entry(tag: u64) -> (u64, u64, Vec<u8>) {
+    fn entry(tag: u64) -> (u64, Vec<u8>) {
         // Keys far outside any real arc_key population.
-        (
-            0x00C0_FFEE_0000 + tag,
-            0x5EED_0000 + tag % 3,
-            model_bytes(tag),
-        )
+        (0x00C0_FFEE_0000 + tag, model_bytes(tag))
     }
 
     fn cell_tables(tag: usize) -> CellTables {
@@ -675,8 +653,6 @@ mod tests {
         let replay = store.load().expect("load");
         assert_eq!(replay.models, 4);
         assert_eq!(replay.corrupt, 0);
-        // Three distinct identities were stamped (tag % 3).
-        assert_eq!(replay.seeds.len(), 3);
         // The reopen pre-scan dedups without an explicit load.
         assert_eq!(store.append_models(&entries).expect("append"), 0);
     }
@@ -790,6 +766,39 @@ mod tests {
         }
     }
 
+    /// Appends one validly framed record to a store image.
+    fn push_record(bytes: &mut Vec<u8>, payload: &[u8]) {
+        let mut h = StableHasher::new();
+        h.write_bytes(payload);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&h.finish().to_le_bytes());
+        bytes.extend_from_slice(payload);
+    }
+
+    #[test]
+    fn nonzero_reserved_slot_still_replays() {
+        // Older writers stored an arc identity in the slot after the key;
+        // the slot is ignored on read, so such stores replay unchanged.
+        let (key, model) = entry(5);
+        let mut payload = vec![KIND_ARC];
+        payload.extend_from_slice(&key.to_le_bytes());
+        payload.extend_from_slice(&0x5EED_0000_0000_0002u64.to_le_bytes());
+        payload.extend_from_slice(&model);
+        let mut bytes = MAGIC.to_vec();
+        push_record(&mut bytes, &payload);
+        let path = tmp("reserved.log");
+        std::fs::write(&path, &bytes).expect("write");
+
+        let store = CharStore::open(&path).expect("open");
+        let replay = store.load().expect("load");
+        assert_eq!(replay.models, 1);
+        assert_eq!(replay.corrupt, 0);
+        let replayed = xtalk_wave::macromodel::model_for(key).expect("model replayed");
+        assert_eq!(replayed.to_bytes(), model);
+        // The pre-scan registered the key: re-appending it writes nothing.
+        assert_eq!(store.append_models(&[(key, model)]).expect("append"), 0);
+    }
+
     #[test]
     fn unknown_kind_and_malformed_model_are_skipped() {
         let path = tmp("badkind.log");
@@ -799,19 +808,12 @@ mod tests {
         drop(store);
         // Append a validly framed record of an unknown kind by hand.
         let mut bytes = std::fs::read(&path).expect("read");
-        let payload = [9u8, 1, 2, 3, 4, 5, 6, 7, 8, 42];
-        let mut h = StableHasher::new();
-        h.write_bytes(&payload);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&h.finish().to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        push_record(&mut bytes, &[9u8, 1, 2, 3, 4, 5, 6, 7, 8, 42]);
         // And a kind-1 record whose model bytes are too short.
-        let short = [KIND_ARC, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1];
-        let mut h = StableHasher::new();
-        h.write_bytes(&short);
-        bytes.extend_from_slice(&(short.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&h.finish().to_le_bytes());
-        bytes.extend_from_slice(&short);
+        push_record(
+            &mut bytes,
+            &[KIND_ARC, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1],
+        );
         std::fs::write(&path, &bytes).expect("write");
 
         let store = CharStore::open(&path).expect("reopen");

@@ -169,7 +169,7 @@ impl<'a> Sta<'a> {
         // solve time, so the fast path never blocks a pass mid-flight. The
         // executor replays the on-disk characterization store first and
         // sweeps the remainder on its worker pool (`--characterize` picks
-        // prewarm/lazy/off; signoff skips tables entirely).
+        // prewarm or lazy; signoff skips tables entirely).
         let exec = Executor::new(config);
         exec.prewarm_tables(process, library);
         Ok(Sta {

@@ -21,6 +21,13 @@
 //! `capacity / SHARDS` entries; an insert into a full shard clears it
 //! (counted as evictions) — simple, and harmless because the cache is only
 //! an accelerator.
+//!
+//! Admission is cost-aware: a solve is stored only once its signature has
+//! proven expensive (Newton-iteration cost at or above twice the running
+//! mean, after a 100-solve warm-up). The bulk of cold-run solves never pay
+//! the key construction, checksum and insert, while the expensive deep
+//! solves whose re-solve cost dwarfs the bookkeeping stay cached for ECO
+//! rebuilds and warm re-analysis (DESIGN.md D10).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,27 +39,6 @@ use xtalk_wave::Waveform;
 
 /// Shard count; a power of two keeps the index a mask.
 const SHARDS: usize = 16;
-
-/// Which stage solves the cache stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheAdmission {
-    /// Every solve is stored (the PR2 behaviour). Maximizes warm-run hit
-    /// rates but pays key-construction + insert overhead on every cold
-    /// miss — measurably slower than no cache at s38417 scale, where the
-    /// hits land on cheap shallow stages (DESIGN D7).
-    All,
-    /// Cost-aware admission (the default): a solve is stored only once its
-    /// signature has proven expensive — Newton-iteration cost at or above
-    /// twice the running mean (after a 100-solve warm-up that admits
-    /// everything to seed the estimate). The bulk of cold-run solves never
-    /// pay the key construction, checksum and insert (on a cold single-shot
-    /// run the keyed table gets no lookups at all — the per-stage memo
-    /// answers intra-run reuse first — so every insert is speculative),
-    /// while the expensive deep solves whose re-solve cost dwarfs the
-    /// bookkeeping stay cached for ECO rebuilds and warm re-analysis.
-    #[default]
-    Cost,
-}
 
 /// Hit/miss/evict counters of the stage-solve cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,8 +175,7 @@ impl SolveKey {
     /// The admission signature of this key — bit-identical to what
     /// [`admission_sig`] produces for the original solver inputs, so a key
     /// replayed from the on-disk store can re-earn its admission-set entry
-    /// (under cost-aware admission, lookups only happen for admitted
-    /// signatures).
+    /// (lookups only happen for admitted signatures).
     pub(crate) fn admission_sig(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_bytes(self.cell.as_bytes());
@@ -266,37 +251,6 @@ pub(crate) fn admission_sig(
     Some(h.finish())
 }
 
-/// Corner-*agnostic* identity of one timing arc: cell, stage-in-cell,
-/// switching slot and direction flags — deliberately excluding the corner
-/// signature, the input waveform and the load.
-///
-/// This is the unit of cross-corner seeding (DESIGN D14). An arc whose
-/// admission signature recurred at one corner (same cell, same input bits,
-/// same load, *different* stage instances — exactly the duplicates the
-/// per-stage memo cannot see and cost-aware admission does not probe for)
-/// will recur at every other corner too: the duplication is structural
-/// (repeated subcircuits), not electrical. Seeding the next corner's
-/// admission gate with these arcs recovers those duplicate Newton solves
-/// as exact-match cache hits from their second occurrence on.
-///
-/// Safety: the arc signature only modulates *admission* — what the
-/// exact-match table stores and probes. Served values always come from a
-/// full [`SolveKey`] carrying the corner discriminant, so a stale or
-/// wrong seed costs a speculative insert, never a wrong bit.
-pub(crate) fn arc_sig(
-    cell: &str,
-    stage: usize,
-    slot: usize,
-    out_rising: bool,
-    earliest: bool,
-) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_bytes(cell.as_bytes());
-    h.write_u64((stage as u64) << 32 | slot as u64);
-    h.write_u64(u64::from(u8::from(out_rising) | (u8::from(earliest) << 1)));
-    h.finish()
-}
-
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Lookup {
@@ -318,9 +272,8 @@ pub(crate) struct SolveCache {
     shards: Vec<Mutex<HashMap<SolveKey, (u64, Waveform)>>>,
     /// Entry cap per shard; 0 disables the cache entirely.
     shard_capacity: usize,
-    admission: CacheAdmission,
-    /// Signatures proven worth caching (cost-aware mode only), sharded by
-    /// the low signature bits to keep worker contention negligible.
+    /// Signatures proven worth caching, sharded by the low signature bits
+    /// to keep worker contention negligible.
     admitted: Vec<Mutex<HashSet<u64>>>,
     /// Running Newton-iteration cost statistics driving the adaptive
     /// admission threshold.
@@ -338,21 +291,6 @@ pub(crate) struct SolveCache {
     /// atomic flag keeps the disabled (batch CLI) hot path lock-free.
     journal_on: std::sync::atomic::AtomicBool,
     journal: Mutex<Vec<(SolveKey, Waveform)>>,
-    /// Cross-corner seeding state (scenario runs only; see [`arc_sig`]).
-    /// `seed_active` is the single hot-path guard: when clear (the default
-    /// outside scenario runs), solve paths skip every seed structure.
-    seed_active: std::sync::atomic::AtomicBool,
-    /// Observation on: record admission signatures and collect the arcs of
-    /// signatures seen more than once this run.
-    seed_observe: std::sync::atomic::AtomicBool,
-    /// Admission signatures seen so far in the observed run, sharded like
-    /// the admission set.
-    seen_sigs: Vec<Mutex<HashSet<u64>>>,
-    /// Arc signatures whose admission signature recurred this run.
-    dup_arcs: Mutex<HashSet<u64>>,
-    /// Arcs pre-admitted for the current run (harvested from the previous
-    /// corner), sharded by low arc-signature bits.
-    seeded_arcs: Vec<Mutex<HashSet<u64>>>,
 }
 
 /// Solves admitted unconditionally while the running cost mean warms up.
@@ -361,7 +299,7 @@ const ADMISSION_WARMUP: u64 = 100;
 impl SolveCache {
     /// Builds the cache. `enabled = false` or `capacity = 0` yields a
     /// disabled cache: every lookup misses without touching a shard.
-    pub(crate) fn new(enabled: bool, capacity: usize, admission: CacheAdmission) -> Self {
+    pub(crate) fn new(enabled: bool, capacity: usize) -> Self {
         SolveCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_capacity: if enabled {
@@ -369,7 +307,6 @@ impl SolveCache {
             } else {
                 0
             },
-            admission,
             admitted: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
             cost_sum: AtomicU64::new(0),
             cost_count: AtomicU64::new(0),
@@ -381,94 +318,6 @@ impl SolveCache {
             skipped: AtomicU64::new(0),
             journal_on: std::sync::atomic::AtomicBool::new(false),
             journal: Mutex::new(Vec::new()),
-            seed_active: std::sync::atomic::AtomicBool::new(false),
-            seed_observe: std::sync::atomic::AtomicBool::new(false),
-            seen_sigs: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
-            dup_arcs: Mutex::new(HashSet::new()),
-            seeded_arcs: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
-        }
-    }
-
-    /// Whether any cross-corner seed machinery is live. One relaxed load;
-    /// every seed-related path in the kernel is guarded by it, so non-
-    /// scenario runs pay exactly this check and nothing else.
-    pub(crate) fn seeding_active(&self) -> bool {
-        self.seed_active.load(Ordering::Relaxed)
-    }
-
-    /// Starts observing the coming run for duplicate admission signatures
-    /// (clearing the previous run's observations). The seeded-arc set is
-    /// left in place, so a scenario corner both consumes the previous
-    /// corner's plan and records the next one's in a single run.
-    pub(crate) fn begin_seed_observation(&self) {
-        for shard in &self.seen_sigs {
-            lock(shard).clear();
-        }
-        lock(&self.dup_arcs).clear();
-        self.seed_observe.store(true, Ordering::Release);
-        self.seed_active.store(true, Ordering::Release);
-    }
-
-    /// Records one solve-identity observation: `sig` is the full admission
-    /// signature, `arc` the corner-agnostic [`arc_sig`] it belongs to. The
-    /// second sighting of a signature marks its arc as recurrent. Set
-    /// semantics make the harvest independent of worker arrival order.
-    pub(crate) fn observe_sig(&self, sig: u64, arc: u64) {
-        if !self.seed_observe.load(Ordering::Acquire) {
-            return;
-        }
-        if !lock(&self.seen_sigs[(sig as usize) & (SHARDS - 1)]).insert(sig) {
-            lock(&self.dup_arcs).insert(arc);
-        }
-    }
-
-    /// The arcs that proved recurrent in the observed run, sorted for
-    /// determinism. Does not clear the observation state (the next
-    /// [`SolveCache::begin_seed_observation`] does).
-    pub(crate) fn harvest_seed_arcs(&self) -> Vec<u64> {
-        let mut arcs: Vec<u64> = lock(&self.dup_arcs).iter().copied().collect();
-        arcs.sort_unstable();
-        arcs
-    }
-
-    /// Installs the arc-level admission plan for the coming run, replacing
-    /// any previous plan.
-    pub(crate) fn seed_arcs(&self, arcs: &[u64]) {
-        for shard in &self.seeded_arcs {
-            lock(shard).clear();
-        }
-        for &arc in arcs {
-            lock(&self.seeded_arcs[(arc as usize) & (SHARDS - 1)]).insert(arc);
-        }
-        self.seed_active.store(true, Ordering::Release);
-    }
-
-    /// Whether an arc is pre-admitted by the installed plan.
-    pub(crate) fn arc_seeded(&self, arc: u64) -> bool {
-        lock(&self.seeded_arcs[(arc as usize) & (SHARDS - 1)]).contains(&arc)
-    }
-
-    /// Seeded-arc admission: marks a signature admitted regardless of its
-    /// cost, so later occurrences of the same solve identity probe (and
-    /// hit) the exact-match table. Counted as an admission.
-    pub(crate) fn admit_seeded(&self, sig: u64) {
-        if self.admission == CacheAdmission::Cost {
-            lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
-        }
-        self.admitted_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tears down all seeding state and returns the cache to the plain
-    /// (non-scenario) hot path.
-    pub(crate) fn end_seeding(&self) {
-        self.seed_active.store(false, Ordering::Release);
-        self.seed_observe.store(false, Ordering::Release);
-        for shard in &self.seen_sigs {
-            lock(shard).clear();
-        }
-        lock(&self.dup_arcs).clear();
-        for shard in &self.seeded_arcs {
-            lock(shard).clear();
         }
     }
 
@@ -484,7 +333,7 @@ impl SolveCache {
     }
 
     /// Seeds an entry replayed from the on-disk store: marks its signature
-    /// admitted (so cost-aware lookups actually probe it) and inserts it
+    /// admitted (so lookups actually probe it) and inserts it
     /// without touching the journal or the admission counters. The entry
     /// is exact-match-keyed and checksummed like any live insert, so a
     /// corrupt or stale preload can never change a reported arrival.
@@ -493,9 +342,7 @@ impl SolveCache {
             return;
         }
         let sig = key.admission_sig();
-        if self.admission == CacheAdmission::Cost {
-            lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
-        }
+        lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
         let mut shard = lock(&self.shards[key.shard()]);
         if shard.len() >= self.shard_capacity {
             self.evictions
@@ -511,43 +358,29 @@ impl SolveCache {
     }
 
     /// Whether a lookup for this signature could possibly hit — i.e.
-    /// whether building the exact [`SolveKey`] is worth it. Under
-    /// [`CacheAdmission::All`] every solve is stored so every lookup is
-    /// worth it; under cost-aware admission only signatures that earned
-    /// admission can have entries.
+    /// whether building the exact [`SolveKey`] is worth it. Only
+    /// signatures that earned admission can have entries.
     pub(crate) fn wants(&self, sig: u64) -> bool {
-        match self.admission {
-            CacheAdmission::All => true,
-            CacheAdmission::Cost => {
-                lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).contains(&sig)
-            }
-        }
+        lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).contains(&sig)
     }
 
     /// Records the cost of a fresh solve and decides whether to store it.
     /// `cost` is the solve's Newton-iteration count (its dominant work
-    /// term). Under cost-aware admission a solve is stored when its cost
-    /// reaches twice the running mean — only the expensive tail earns an
-    /// entry, because the typical solve's hit saves less than the key
-    /// construction, checksum and insert/evict churn it costs (DESIGN D7,
-    /// D10). Admission decisions depend only on *which* solves ran, not on
-    /// thread timing of results, but the running mean can drift with
-    /// arrival order under the wavefront scheduler — that is fine:
-    /// admission affects cache contents and counters, never results (the
-    /// table is exact-match).
+    /// term). After a 100-solve warm-up that admits everything to seed the
+    /// estimate, a solve is stored when its cost reaches twice the running
+    /// mean — only the expensive tail earns an entry, because the typical
+    /// solve's hit saves less than the key construction, checksum and
+    /// insert/evict churn it costs (DESIGN D7, D10). Admission decisions
+    /// depend only on *which* solves ran, not on thread timing of results,
+    /// but the running mean can drift with arrival order under the
+    /// wavefront scheduler — that is fine: admission affects cache
+    /// contents and counters, never results (the table is exact-match).
     pub(crate) fn admit_cost(&self, sig: u64, cost: u64) -> bool {
         let sum = self.cost_sum.fetch_add(cost, Ordering::Relaxed);
         let count = self.cost_count.fetch_add(1, Ordering::Relaxed);
-        let admit = match self.admission {
-            CacheAdmission::All => true,
-            CacheAdmission::Cost => {
-                count < ADMISSION_WARMUP || cost.saturating_mul(count) >= sum.saturating_mul(2)
-            }
-        };
+        let admit = count < ADMISSION_WARMUP || cost.saturating_mul(count) >= sum.saturating_mul(2);
         if admit {
-            if self.admission == CacheAdmission::Cost {
-                lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
-            }
+            lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
             self.admitted_count.fetch_add(1, Ordering::Relaxed);
         } else {
             self.skipped.fetch_add(1, Ordering::Relaxed);
@@ -673,7 +506,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::All);
+        let cache = SolveCache::new(true, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         assert_eq!(cache.get(&key(0, 1e-15)), Lookup::Miss);
         cache.put(key(0, 1e-15), w.clone());
@@ -691,7 +524,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_stores() {
-        let cache = SolveCache::new(false, 1024, CacheAdmission::All);
+        let cache = SolveCache::new(false, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         cache.put(key(0, 1e-15), w);
         assert_eq!(cache.get(&key(0, 1e-15)), Lookup::Miss);
@@ -721,7 +554,7 @@ mod tests {
 
     #[test]
     fn poisoned_entry_is_evicted_not_served() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::All);
+        let cache = SolveCache::new(true, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         cache.put_poisoned(key(0, 1e-15), w.clone());
         assert_eq!(cache.len(), 1);
@@ -772,7 +605,7 @@ mod tests {
 
     #[test]
     fn cost_admission_learns_an_adaptive_floor() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::Cost);
+        let cache = SolveCache::new(true, 1024);
         // Warm-up: everything is admitted while the mean is unreliable.
         for sig in 0..ADMISSION_WARMUP {
             assert!(cache.admit_cost(sig, 100), "warm-up admits all");
@@ -794,16 +627,8 @@ mod tests {
     }
 
     #[test]
-    fn admit_all_wants_everything() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::All);
-        assert!(cache.wants(42), "All-mode lookups never need admission");
-        assert!(cache.admit_cost(42, 0), "All-mode stores everything");
-        assert_eq!(cache.stats().skipped, 0);
-    }
-
-    #[test]
     fn corner_keys_apart_even_with_identical_electrical_inputs() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::All);
+        let cache = SolveCache::new(true, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         let load = Load {
             cground: 1e-15,
@@ -820,50 +645,6 @@ mod tests {
             "a solve stored at one corner must never serve another"
         );
         assert_eq!(cache.get(&k0), Lookup::Hit(w));
-        // The arc signature, by contrast, is deliberately corner-blind:
-        // it gates admission only, never lookup.
-        assert_eq!(
-            arc_sig("INVX1", 0, 0, true, false),
-            arc_sig("INVX1", 0, 0, true, false)
-        );
-        assert_ne!(
-            arc_sig("INVX1", 0, 0, true, false),
-            arc_sig("INVX1", 0, 1, true, false)
-        );
-    }
-
-    #[test]
-    fn seed_observation_harvests_recurrent_arcs_deterministically() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::Cost);
-        assert!(!cache.seeding_active(), "off outside scenario runs");
-        cache.begin_seed_observation();
-        assert!(cache.seeding_active());
-        let a1 = arc_sig("INVX1", 0, 0, true, false);
-        let a2 = arc_sig("NAND2X1", 0, 1, true, false);
-        // sig 10 recurs (arc a1); sig 30 is unique (arc a2).
-        cache.observe_sig(10, a1);
-        cache.observe_sig(10, a1);
-        cache.observe_sig(10, a1);
-        cache.observe_sig(30, a2);
-        assert_eq!(cache.harvest_seed_arcs(), vec![a1]);
-        // Installing the plan pre-admits exactly the seeded arcs.
-        cache.seed_arcs(&[a1]);
-        assert!(cache.arc_seeded(a1));
-        assert!(!cache.arc_seeded(a2));
-        // A seeded admission makes the signature probe-worthy even though
-        // cost admission would have skipped it.
-        assert!(!cache.wants(99));
-        cache.admit_seeded(99);
-        assert!(cache.wants(99));
-        // Teardown restores the plain hot path.
-        cache.end_seeding();
-        assert!(!cache.seeding_active());
-        assert!(!cache.arc_seeded(a1));
-        assert!(cache.harvest_seed_arcs().is_empty());
-        // Observation off: nothing is recorded.
-        cache.observe_sig(10, a1);
-        cache.observe_sig(10, a1);
-        assert!(cache.harvest_seed_arcs().is_empty());
     }
 
     #[test]
@@ -897,7 +678,7 @@ mod tests {
 
     #[test]
     fn journal_records_inserts_only_when_enabled() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::All);
+        let cache = SolveCache::new(true, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         cache.put(key(0, 1e-15), w.clone());
         assert!(cache.drain_journal().is_empty(), "journal off by default");
@@ -918,7 +699,7 @@ mod tests {
 
     #[test]
     fn preload_is_looked_up_even_under_cost_admission() {
-        let cache = SolveCache::new(true, 1024, CacheAdmission::Cost);
+        let cache = SolveCache::new(true, 1024);
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         let k = key(0, 1e-15);
         assert!(
@@ -935,7 +716,7 @@ mod tests {
 
     #[test]
     fn capacity_eviction_clears_full_shards() {
-        let cache = SolveCache::new(true, SHARDS, CacheAdmission::All); // one entry per shard
+        let cache = SolveCache::new(true, SHARDS); // one entry per shard
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         for i in 0..64 {
             cache.put(key(i, 1e-15), w.clone());

@@ -30,7 +30,7 @@ use std::time::Instant;
 use xtalk_tech::{Corner, Library, Process};
 use xtalk_wave::macromodel;
 
-pub use cache::{CacheAdmission, CacheStats};
+pub use cache::CacheStats;
 
 /// When the analyzer characterizes macromodel tables.
 ///
@@ -49,9 +49,6 @@ pub enum CharacterizeMode {
     /// so workloads touching small cones (ECO sweeps, serve sessions)
     /// never pay for the full library.
     Lazy,
-    /// Never characterize: every stage solve runs the transistor-level
-    /// solver (tables already in the process-global store still answer).
-    Off,
 }
 
 impl CharacterizeMode {
@@ -64,8 +61,7 @@ impl CharacterizeMode {
         match value {
             "prewarm" => Ok(CharacterizeMode::Prewarm),
             "lazy" => Ok(CharacterizeMode::Lazy),
-            "off" => Ok(CharacterizeMode::Off),
-            other => Err(env_err(var, other, "one of prewarm/lazy/off")),
+            other => Err(env_err(var, other, "`prewarm` or `lazy`")),
         }
     }
 }
@@ -75,7 +71,6 @@ impl fmt::Display for CharacterizeMode {
         match self {
             CharacterizeMode::Prewarm => write!(f, "prewarm"),
             CharacterizeMode::Lazy => write!(f, "lazy"),
-            CharacterizeMode::Off => write!(f, "off"),
         }
     }
 }
@@ -163,9 +158,6 @@ pub struct ExecConfig {
     pub cache: bool,
     /// Total stage-solve cache capacity, in entries.
     pub cache_capacity: usize,
-    /// Which solves the stage-solve cache stores (cost-aware by default —
-    /// see [`CacheAdmission`]).
-    pub cache_admission: CacheAdmission,
     /// Fail fast on the first recoverable fault instead of degrading to a
     /// conservative bound with a [`crate::diag::Diagnostic`].
     pub strict: bool,
@@ -178,8 +170,8 @@ pub struct ExecConfig {
     /// pre-scenario behaviour, bit for bit.
     pub corners: Option<Vec<Corner>>,
     /// When macromodel tables get characterized (`--characterize` /
-    /// `XTALK_CHARACTERIZE`): full-library prewarm at build, lazily on
-    /// first in-admission miss, or never.
+    /// `XTALK_CHARACTERIZE`): full-library prewarm at build, or lazily on
+    /// first in-admission miss.
     pub characterize: CharacterizeMode,
     /// Path of the on-disk characterization store (`--char-store` /
     /// `XTALK_CHAR_STORE`). `None` characterizes fresh every process —
@@ -196,7 +188,6 @@ impl Default for ExecConfig {
             serial_cutoff: 32,
             cache: true,
             cache_capacity: 1 << 20,
-            cache_admission: CacheAdmission::default(),
             strict: false,
             signoff: false,
             corners: None,
@@ -210,9 +201,11 @@ impl ExecConfig {
     /// The default configuration with environment overrides applied:
     /// `XTALK_THREADS` (integer; `1` = serial, `0`/unset = auto),
     /// `XTALK_CACHE` (on/off switch for the stage-solve cache),
-    /// `XTALK_CACHE_CAPACITY` (entry count), `XTALK_CACHE_ADMISSION`
-    /// (`all` | `cost`), `XTALK_STRICT` (on/off switch) and
-    /// `XTALK_SIGNOFF` (on/off switch for the bit-exact full-solver mode).
+    /// `XTALK_CACHE_CAPACITY` (entry count), `XTALK_STRICT` (on/off
+    /// switch), `XTALK_SIGNOFF` (on/off switch for the bit-exact
+    /// full-solver mode), `XTALK_CORNERS` (comma-separated corner list),
+    /// `XTALK_CHARACTERIZE` (`prewarm` | `lazy`) and `XTALK_CHAR_STORE`
+    /// (store path; empty = none).
     ///
     /// # Errors
     ///
@@ -257,13 +250,6 @@ impl ExecConfig {
                     "a non-negative entry count (0 disables the cache)",
                 )
             })?;
-        }
-        if let Some(admission) = get("XTALK_CACHE_ADMISSION") {
-            config.cache_admission = match admission.trim() {
-                "all" => CacheAdmission::All,
-                "cost" => CacheAdmission::Cost,
-                other => return Err(env_err("XTALK_CACHE_ADMISSION", other, "`all` or `cost`")),
-            };
         }
         if let Some(strict) = get("XTALK_STRICT") {
             config.strict = parse_switch("XTALK_STRICT", strict.trim())?;
@@ -313,13 +299,6 @@ impl ExecConfig {
     #[must_use]
     pub fn with_cache(mut self, cache: bool) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Overrides the cache admission policy.
-    #[must_use]
-    pub fn with_cache_admission(mut self, admission: CacheAdmission) -> Self {
-        self.cache_admission = admission;
         self
     }
 
@@ -407,8 +386,7 @@ pub(crate) struct Executor {
 
 impl Executor {
     pub(crate) fn new(config: ExecConfig) -> Self {
-        let cache =
-            cache::SolveCache::new(config.cache, config.cache_capacity, config.cache_admission);
+        let cache = cache::SolveCache::new(config.cache, config.cache_capacity);
         let memo = memo::ArcMemo::new(config.cache);
         let mut store_fault = None;
         let char_store =
@@ -450,54 +428,39 @@ impl Executor {
     }
 
     /// Builds the macromodel tables this configuration wants ready before
-    /// analysis: replays the on-disk characterization store (all modes
-    /// except signoff/off — lazy builds also want disk-warm tables), then
-    /// in prewarm mode characterizes whatever the store did not cover —
-    /// on the worker pool when one is configured — and appends the fresh
+    /// analysis: replays the on-disk characterization store (every mode
+    /// except signoff — lazy builds also want disk-warm tables), then in
+    /// prewarm mode characterizes whatever the store did not cover — on
+    /// the worker pool when one is configured — and appends the fresh
     /// models back to the store.
     ///
     /// Every path is bit-identical: characterization is a deterministic
     /// pure function of `(process, arc)` and the model-store insert is
-    /// first-wins, so replay order, worker interleaving and the
-    /// seeded-first work ordering can change *when* a table exists, never
-    /// its contents.
+    /// first-wins, so replay order and worker interleaving can change
+    /// *when* a table exists, never its contents.
     pub(crate) fn prewarm_tables(&self, process: &Process, library: &Library) {
-        if self.config.signoff || self.config.characterize == CharacterizeMode::Off {
+        if self.config.signoff {
             return;
         }
-        let seeds = match self.char_store.as_ref().map(|s| s.load()) {
-            Some(Ok(replay)) => replay.seeds,
-            Some(Err(e)) => {
+        if let Some(store) = &self.char_store {
+            if let Err(e) = store.load() {
                 self.push_sticky_diagnostic(crate::diag::Diagnostic {
                     severity: crate::diag::Severity::Warning,
-                    node: self
-                        .char_store
-                        .as_ref()
-                        .map(|s| s.path().display().to_string())
-                        .unwrap_or_default(),
+                    node: store.path().display().to_string(),
                     fault: crate::diag::FaultClass::CacheCorruption,
                     substituted_bound: None,
                     detail: format!(
                         "characterization store replay failed ({e}); characterizing fresh"
                     ),
                 });
-                Default::default()
             }
-            None => Default::default(),
-        };
+        }
         if self.config.characterize != CharacterizeMode::Prewarm {
             return;
         }
-        let mut work = macromodel::prewarm_work(process, library);
+        let work = macromodel::prewarm_work(process, library);
         if work.is_empty() {
             return;
-        }
-        // Arcs another corner already characterized (same corner-agnostic
-        // identity) go first: their sweeps are the likeliest useful under
-        // this corner too, so a matrix's later corners fill the hot set
-        // early. Stable partition — an ordering-only channel.
-        if !seeds.is_empty() {
-            work.sort_by_key(|item| !seeds.contains(&item.identity));
         }
         match self.pool_for(work.len()) {
             None => {
@@ -531,10 +494,10 @@ impl Executor {
             }
         }
         if let Some(store) = &self.char_store {
-            let fresh: Vec<(u64, u64, Vec<u8>)> = work
+            let fresh: Vec<(u64, Vec<u8>)> = work
                 .iter()
                 .filter_map(|item| {
-                    macromodel::model_for(item.key).map(|m| (item.key, item.identity, m.to_bytes()))
+                    macromodel::model_for(item.key).map(|m| (item.key, m.to_bytes()))
                 })
                 .collect();
             if let Err(e) = store.append_models(&fresh) {
@@ -705,7 +668,6 @@ mod tests {
             ("XTALK_THREADS", "3"),
             ("XTALK_CACHE", "off"),
             ("XTALK_CACHE_CAPACITY", "4096"),
-            ("XTALK_CACHE_ADMISSION", "all"),
             ("XTALK_STRICT", "1"),
             ("XTALK_SIGNOFF", "on"),
         ]))
@@ -713,7 +675,6 @@ mod tests {
         assert_eq!(c.threads, 3);
         assert!(!c.cache);
         assert_eq!(c.cache_capacity, 4096);
-        assert_eq!(c.cache_admission, CacheAdmission::All);
         assert!(c.strict);
         assert!(c.signoff);
         assert!(!ExecConfig::default().signoff, "fast path is the default");
@@ -790,11 +751,20 @@ mod tests {
     }
 
     #[test]
-    fn junk_switches_and_admission_are_rejected() {
+    fn junk_switches_and_modes_are_rejected() {
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "maybe")])).is_err());
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_STRICT", "2")])).is_err());
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_SIGNOFF", "sorta")])).is_err());
-        assert!(ExecConfig::from_lookup(lookup(&[("XTALK_CACHE_ADMISSION", "some")])).is_err());
+        // `prewarm` and `lazy` are the only characterization schedules.
+        for bad in ["off", "eager"] {
+            let e = ExecConfig::from_lookup(lookup(&[("XTALK_CHARACTERIZE", bad)]))
+                .expect_err("unknown schedule must be rejected");
+            let ConfigError::InvalidEnv { var, value, .. } = &e;
+            assert_eq!((*var, value.as_str()), ("XTALK_CHARACTERIZE", bad));
+        }
+        let lazy =
+            ExecConfig::from_lookup(lookup(&[("XTALK_CHARACTERIZE", "lazy")])).expect("lazy");
+        assert_eq!(lazy.characterize, CharacterizeMode::Lazy);
         let on = ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "yes")])).expect("switch");
         assert!(on.cache);
     }

@@ -199,10 +199,6 @@ pub struct TimingGraph {
 }
 
 impl TimingGraph {
-    /// Adjacency memory layout of this graph build, recorded in bench
-    /// output (`BENCH_sta.json`) so layout A/Bs stay attributable.
-    pub const LAYOUT: &'static str = "csr";
-
     /// Expands `netlist` against `library` into a stage-level timing graph.
     ///
     /// # Errors

@@ -45,7 +45,7 @@ use xtalk_wave::stage::{Load, SolvedWave, StageError, StageScratch, StageSolver}
 
 use crate::diag::{Diagnostic, FaultClass, Severity};
 use crate::engine::StaError;
-use crate::exec::cache::{admission_sig, arc_sig, Lookup, SolveKey};
+use crate::exec::cache::{admission_sig, Lookup, SolveKey};
 use crate::exec::pool::WorkerPool;
 use crate::exec::{wavefront, Executor};
 use crate::graph::{StageId, TNodeId, TNodeKind, TimingGraph};
@@ -1256,11 +1256,9 @@ impl PropagationCore<'_> {
                 let built =
                     macromodel::ensure_model(key, self.process, stage, slot, side, out_rising);
                 if let Some(store) = self.exec.char_store() {
-                    let identity =
-                        macromodel::arc_identity(cell_name, stage_in_cell, slot, out_rising, side);
                     // Append failures degrade to characterize-again-next-
                     // process; the analysis itself is unaffected.
-                    let _ = store.append_models(&[(key, identity, built.to_bytes())]);
+                    let _ = store.append_models(&[(key, built.to_bytes())]);
                 }
                 Some(built)
             }
@@ -1341,22 +1339,8 @@ impl PropagationCore<'_> {
             counters.record_solve(solved.newton_iters);
             return Ok(solved.wave);
         };
-        // Cross-corner warm seeding (scenario runs only): while a seed
-        // observation is active, record this solve identity so recurrent
-        // arcs can be pre-admitted at the next corner, and honor the plan
-        // the previous corner installed. Seeding only widens what the
-        // exact-match cache *stores* — a served entry is always this
-        // corner's own bits under the corner-keyed SolveKey — so it saves
-        // Newton iterations without ever changing a result (DESIGN.md D14).
-        let seeded_arc = if cache.seeding_active() {
-            let arc = arc_sig(cell_name, stage_in_cell, slot, out_rising, earliest);
-            cache.observe_sig(sig, arc);
-            cache.arc_seeded(arc)
-        } else {
-            false
-        };
         let mut key = None;
-        if cache.wants(sig) || seeded_arc {
+        if cache.wants(sig) {
             key = SolveKey::new(
                 cell_name,
                 stage_in_cell,
@@ -1425,14 +1409,7 @@ impl PropagationCore<'_> {
                 wave.clone(),
             );
         }
-        let admitted = cache.admit_cost(sig, solved.newton_iters as u64);
-        if admitted || seeded_arc {
-            if !admitted {
-                // The plan pre-admits this arc: store even a solve the cost
-                // policy would decline, so the next occurrence of this exact
-                // identity hits instead of re-integrating.
-                cache.admit_seeded(sig);
-            }
+        if cache.admit_cost(sig, solved.newton_iters as u64) {
             let key = key.or_else(|| {
                 SolveKey::new(
                     cell_name,

@@ -63,7 +63,7 @@ pub mod serve;
 pub use charstore::{open_shared as open_char_store, CharStore, CharStoreStats};
 pub use diag::{worst_severity, Diagnostic, FaultClass, Severity};
 pub use engine::{Sta, StaError};
-pub use exec::{CacheAdmission, CacheStats, CharacterizeMode, ConfigError, ExecConfig};
+pub use exec::{CacheStats, CharacterizeMode, ConfigError, ExecConfig};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::{Fault, FaultPlan, ServeFault, ServeFaultPlan};
 pub use incremental::{AnalyzeStats, Checkpoint, Edit, EditError, EditOutcome, IncrementalSta};

@@ -591,10 +591,8 @@ pub struct ScenarioReport {
     /// first.
     pub worst_endpoints: Vec<EndpointWorst>,
     /// Total Newton iterations spent per corner (all modes), in corner
-    /// order — the cost metric the cross-corner warm seeding reduces.
+    /// order.
     pub corner_iters: Vec<usize>,
-    /// Whether cross-corner warm seeding was active for this run.
-    pub seeded: bool,
 }
 
 impl ScenarioReport {
@@ -637,7 +635,7 @@ pub fn scenario_table(netlist: &Netlist, report: &ScenarioReport, n: usize) -> S
 }
 
 /// Formats the per-corner summary table of a scenario run: each corner's
-/// longest delay per mode and its solver work, plus the seeding totals.
+/// longest delay per mode and its solver work, plus the iteration total.
 pub fn corner_summary_table(report: &ScenarioReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -646,7 +644,7 @@ pub fn corner_summary_table(report: &ScenarioReport) -> String {
         "{:<8} {:<24} {:>12} {:>10} {:>12}",
         "Corner", "Analysis", "Delay [ns]", "Newton", "Iters"
     );
-    for (ci, run) in report.corners.iter().enumerate() {
+    for run in &report.corners {
         for r in &run.reports {
             let _ = writeln!(
                 out,
@@ -658,17 +656,15 @@ pub fn corner_summary_table(report: &ScenarioReport) -> String {
                 r.newton_iters
             );
         }
-        let _ = ci;
     }
     let _ = writeln!(
         out,
-        "{:<8} {:<24} {:>12} {:>10} {:>12}   (seeding {})",
+        "{:<8} {:<24} {:>12} {:>10} {:>12}",
         "total",
         "",
         "",
         "",
-        report.total_iters(),
-        if report.seeded { "on" } else { "off" }
+        report.total_iters()
     );
     out
 }

@@ -8,27 +8,8 @@
 //! ([`xtalk_tech::Process::corner_sig`]) — a cached entry can only ever be
 //! served back to the corner that produced it, so each corner's reports
 //! are bit-identical to a standalone single-corner run (DESIGN.md D14).
-//!
-//! # Cross-corner warm seeding
-//!
-//! Corners of the same design solve structurally identical arc
-//! populations, and the cost-aware cache admission
-//! ([`crate::exec::CacheAdmission::Cost`]) declines cheap signatures —
-//! including duplicated ones (the same cell, input waveform and load
-//! recurring at different stage instances), which then re-run their Newton
-//! integration at every occurrence. While a scenario runs, the cache
-//! observes which admission signatures recur within a corner and hands the
-//! *arc identities* (cell/stage/slot/direction — deliberately corner-
-//! agnostic) to the next corner as a pre-admission plan: the next corner
-//! stores those arcs' first solves unconditionally, so their repeats hit
-//! the exact-match cache instead of re-integrating.
-//!
-//! The channel is admission-only. A stale or wrong plan changes which
-//! solves get *stored*, never what is *served* — lookups remain exact
-//! bitwise matches under corner-keyed identities — so warm-seeded results
-//! are bitwise identical to cold ones while spending strictly fewer
-//! Newton iterations whenever any duplicated arc was declined by the cost
-//! policy.
+//! A corner inside the matrix runs exactly as it would standalone; the
+//! only thing it gains from the matrix is the already-built executor.
 
 use xtalk_layout::Parasitics;
 use xtalk_netlist::Netlist;
@@ -42,7 +23,7 @@ use crate::mode::AnalysisMode;
 use crate::report::{CornerRun, EndpointWorst, ScenarioReport};
 
 /// Drives one design through a matrix of PVT corners over a shared
-/// executor. See the module docs for the sharing and seeding invariants.
+/// executor. See the module docs for the sharing invariant.
 pub struct ScenarioMatrix<'a> {
     netlist: &'a Netlist,
     library: &'a Library,
@@ -50,7 +31,6 @@ pub struct ScenarioMatrix<'a> {
     parasitics: &'a Parasitics,
     corners: Vec<Corner>,
     exec: Executor,
-    seed: bool,
 }
 
 impl<'a> ScenarioMatrix<'a> {
@@ -85,17 +65,7 @@ impl<'a> ScenarioMatrix<'a> {
             parasitics,
             corners,
             exec: Executor::new(config),
-            seed: true,
         })
-    }
-
-    /// Enables or disables cross-corner warm seeding (on by default).
-    /// Purely a performance lever: seeded and unseeded runs are bitwise
-    /// identical (see the module docs).
-    #[must_use]
-    pub fn with_seeding(mut self, seed: bool) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The corner matrix this scenario runs, in run order.
@@ -134,54 +104,32 @@ impl<'a> ScenarioMatrix<'a> {
     /// See [`StaError`]; the first failing corner/mode aborts the run.
     pub fn run(&self, modes: &[AnalysisMode]) -> Result<ScenarioReport, StaError> {
         assert!(!modes.is_empty(), "a scenario needs at least one mode");
-        let cache = self.exec.cache();
-        let seeding = self.seed && cache.enabled();
-        let mut plan: Vec<u64> = Vec::new();
         let mut corners_out: Vec<CornerRun> = Vec::with_capacity(self.corners.len());
-        let result: Result<(), StaError> = (|| {
-            for (ci, corner) in self.corners.iter().enumerate() {
-                let process = self.base.corner(corner);
-                let graph =
-                    TimingGraph::build(self.netlist, self.library, &process, self.parasitics)?;
-                // Corner-keyed characterization through the shared
-                // executor: the on-disk store replays once per corner
-                // (later corners and later runs find their tables) and
-                // the residual sweep runs on the worker pool.
-                self.exec.prewarm_tables(&process, self.library);
-                if seeding {
-                    if ci > 0 {
-                        cache.seed_arcs(&plan);
-                    }
-                    cache.begin_seed_observation();
-                }
-                let core = PropagationCore {
-                    netlist: self.netlist,
-                    library: self.library,
-                    process: &process,
-                    parasitics: self.parasitics,
-                    graph: &graph,
-                    exec: &self.exec,
-                };
-                let mut reports = Vec::with_capacity(modes.len());
-                for &mode in modes {
-                    reports.push(core.analyze(mode)?);
-                }
-                if seeding {
-                    plan = cache.harvest_seed_arcs();
-                }
-                corners_out.push(CornerRun {
-                    corner: corner.name.clone(),
-                    reports,
-                });
+        for corner in &self.corners {
+            let process = self.base.corner(corner);
+            let graph = TimingGraph::build(self.netlist, self.library, &process, self.parasitics)?;
+            // Corner-keyed characterization through the shared executor:
+            // the on-disk store replays once per corner (later corners and
+            // later runs find their tables) and the residual sweep runs on
+            // the worker pool.
+            self.exec.prewarm_tables(&process, self.library);
+            let core = PropagationCore {
+                netlist: self.netlist,
+                library: self.library,
+                process: &process,
+                parasitics: self.parasitics,
+                graph: &graph,
+                exec: &self.exec,
+            };
+            let mut reports = Vec::with_capacity(modes.len());
+            for &mode in modes {
+                reports.push(core.analyze(mode)?);
             }
-            Ok(())
-        })();
-        if seeding {
-            // Always tear the seeding state down, success or not: the
-            // executor may outlive this scenario.
-            cache.end_seeding();
+            corners_out.push(CornerRun {
+                corner: corner.name.clone(),
+                reports,
+            });
         }
-        result?;
 
         let corner_iters = corners_out
             .iter()
@@ -192,7 +140,6 @@ impl<'a> ScenarioMatrix<'a> {
             corners: corners_out,
             worst_endpoints,
             corner_iters,
-            seeded: seeding,
         })
     }
 }
@@ -392,120 +339,5 @@ mod tests {
         for w in report.worst_endpoints.windows(2) {
             assert!(w[0].worst >= w[1].worst);
         }
-    }
-
-    /// A duplicate-heavy pre-layout workload: a deep spine of inverters
-    /// with varying side fanout (distinct loads, so distinct solve
-    /// signatures — these exhaust the admission warm-up and set a high
-    /// running cost mean), plus `slices` identical inverter chains of
-    /// `depth` stages behind their own primary inputs. With uniform wire
-    /// parasitics every slice presents the same solve signatures: cheap
-    /// recurring work the cost policy declines, which is exactly what the
-    /// cross-corner admission plan recovers (bit-sliced datapaths,
-    /// wire-load-model flows).
-    fn sliced_bench(spine: usize, slices: usize, depth: usize) -> String {
-        let mut text = String::new();
-        text.push_str("INPUT(h)\n");
-        for s in 0..slices {
-            text.push_str(&format!("INPUT(a{s})\n"));
-        }
-        text.push_str(&format!("OUTPUT(hz)\nOUTPUT(z{})\n", slices - 1));
-        for s in 0..slices.saturating_sub(1) {
-            text.push_str(&format!("OUTPUT(z{s})\n"));
-        }
-        let mut pads = Vec::new();
-        let mut prev = "h".to_string();
-        for k in 0..spine {
-            let out = if k + 1 == spine {
-                "hz".to_string()
-            } else {
-                format!("s{k}")
-            };
-            text.push_str(&format!("{out} = NOT({prev})\n"));
-            // Side fanout varies the spine loads stage to stage.
-            for f in 0..(k % 9) {
-                let pad = format!("p{k}_{f}");
-                text.push_str(&format!("{pad} = NOT({prev})\n"));
-                pads.push(pad);
-            }
-            prev = out;
-        }
-        for pad in &pads {
-            text.push_str(&format!("OUTPUT({pad})\n"));
-        }
-        for s in 0..slices {
-            let mut prev = format!("a{s}");
-            for d in 0..depth {
-                let out = if d + 1 == depth {
-                    format!("z{s}")
-                } else {
-                    format!("c{s}_{d}")
-                };
-                text.push_str(&format!("{out} = NOT({prev})\n"));
-                prev = out;
-            }
-        }
-        text
-    }
-
-    #[test]
-    fn seeding_recovers_duplicate_solves_bitwise() {
-        let process = Process::c05um();
-        let library = Library::c05um(&process);
-        let text = sliced_bench(60, 24, 8);
-        let netlist = xtalk_netlist::bench::parse(&text, &library).expect("parse");
-        let parasitics = Parasitics::empty(netlist.net_count());
-        let corners = Corner::default_matrix();
-        let modes = [AnalysisMode::OneStep];
-        // Signoff: exact solves only, so recovered duplicates show up as
-        // Newton iterations saved (the macromodel would otherwise answer
-        // this grid-friendly fixture without integrating at all).
-        let config = ExecConfig {
-            signoff: true,
-            ..serial_config()
-        };
-        let run = |seed: bool| {
-            ScenarioMatrix::new(
-                &netlist,
-                &library,
-                &process,
-                &parasitics,
-                corners.clone(),
-                config.clone(),
-            )
-            .expect("scenario")
-            .with_seeding(seed)
-            .run(&modes)
-            .expect("run")
-        };
-        let seeded = run(true);
-        let cold = run(false);
-        // Warm == cold bitwise: seeding only changes which solves are
-        // served from the exact-match cache, never their bits.
-        for (s, c) in seeded.corners.iter().zip(&cold.corners) {
-            assert_eq!(s.corner, c.corner);
-            for (sr, cr) in s.reports.iter().zip(&c.reports) {
-                assert_eq!(
-                    sr.longest_delay.to_bits(),
-                    cr.longest_delay.to_bits(),
-                    "corner {} bits diverged under seeding",
-                    s.corner
-                );
-                for (a, b) in sr.endpoints.iter().zip(&cr.endpoints) {
-                    assert_eq!(a.rise.map(f64::to_bits), b.rise.map(f64::to_bits));
-                    assert_eq!(a.fall.map(f64::to_bits), b.fall.map(f64::to_bits));
-                }
-            }
-        }
-        // Corner 0 runs cold either way; the harvested plan must recover
-        // the cross-slice duplicates in the later corners.
-        assert_eq!(seeded.corner_iters[0], cold.corner_iters[0]);
-        assert!(
-            seeded.total_iters() < cold.total_iters(),
-            "seeded matrix must spend strictly fewer Newton iterations \
-             ({} vs {})",
-            seeded.total_iters(),
-            cold.total_iters()
-        );
     }
 }

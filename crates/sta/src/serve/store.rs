@@ -655,7 +655,6 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::CacheAdmission;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xtalk_store_{}", std::process::id()));
@@ -680,7 +679,7 @@ mod tests {
     }
 
     fn cache() -> SolveCache {
-        SolveCache::new(true, 1 << 12, CacheAdmission::All)
+        SolveCache::new(true, 1 << 12)
     }
 
     #[test]

@@ -1041,33 +1041,6 @@ pub fn process_sig(process: &Process) -> u64 {
     process_token(process)
 }
 
-/// Corner-agnostic identity of a timing arc: everything [`arc_key`]
-/// hashes except the grid version and the process token. The
-/// characterization store records it next to each model as its
-/// cross-corner *seed* channel: identities seen at any corner move those
-/// arcs to the front of a new corner's prewarm order. Ordering is all the
-/// seed can influence — each characterization is a deterministic function
-/// of `(process, arc)` and the store insert is first-wins over identical
-/// bits — so a stale seed costs scheduling quality, never correctness.
-pub fn arc_identity(
-    cell_name: &str,
-    stage_in_cell: usize,
-    slot: usize,
-    out_rising: bool,
-    side: &[f64],
-) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_bytes(cell_name.as_bytes());
-    h.write_u64(stage_in_cell as u64);
-    h.write_u64(slot as u64);
-    h.write_u64(out_rising as u64);
-    h.write_u64(side.len() as u64);
-    for &x in side {
-        h.write_u64(canon_bits(x));
-    }
-    h.finish()
-}
-
 /// Whether a query falls inside the characterized grid — the
 /// model-independent prefix of [`ArcModel::lookup`]'s admission chain:
 /// direction, input-shape class, slew and crossing presence, load folding
@@ -1244,9 +1217,6 @@ pub fn clear_store() {
 pub struct PrewarmItem<'l> {
     /// Store key of the arc's model ([`arc_key`]).
     pub key: u64,
-    /// Corner-agnostic identity ([`arc_identity`]) — the characterization
-    /// store's cross-corner seed channel.
-    pub identity: u64,
     /// The stage holding the arc.
     pub stage: &'l Stage,
     /// The switching input slot.
@@ -1320,10 +1290,8 @@ pub fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmI
                     };
                     let key = arc_key(process, &cell.name, si, slot, out_rising, &side);
                     if !guard.contains_key(&key) {
-                        let identity = arc_identity(&cell.name, si, slot, out_rising, &side);
                         work.push(PrewarmItem {
                             key,
-                            identity,
                             stage,
                             slot,
                             side,
