@@ -55,12 +55,13 @@ pub mod kernel;
 pub mod mode;
 pub mod noise;
 pub mod policy;
+pub(crate) mod recordlog;
 pub mod report;
 pub mod scenario;
 pub mod sdf;
 pub mod serve;
 
-pub use charstore::{open_shared as open_char_store, CharStore, CharStoreStats};
+pub use charstore::{open_shared as open_char_store, CharStore};
 pub use diag::{worst_severity, Diagnostic, FaultClass, Severity};
 pub use engine::{Sta, StaError};
 pub use exec::{CacheStats, CharacterizeMode, ConfigError, ExecConfig};

@@ -11,71 +11,43 @@
 //!
 //! # Format
 //!
-//! ```text
-//! [magic: 17 bytes "XTALKSOLVESTORE1\n"]
-//! record*:
-//!   [len: u32 LE]          payload length
-//!   [checksum: u64 LE]     FNV-1a over the payload bytes
-//!   [payload: len bytes]   one (SolveKey, Waveform) pair, see below
-//! ```
-//!
-//! Payload layout (all integers little-endian):
+//! A record log (crate module `recordlog`, DESIGN.md D16) under the magic
+//! `"XTALKSOLVESTORE2\n"`: the log owns the framing, the corruption
+//! policy, the [`SyncPolicy`] and the generation rewrites. Each payload is
+//! one (SolveKey, Waveform) pair (all integers little-endian):
 //!
 //! ```text
 //! u16 cell_len, cell bytes            — library cell name
 //! u32 stage, u32 slot, u8 flags      — stage identity within the cell
+//! u64 corner                         — PVT-corner discriminant
 //! u32 n, n × (u64, u64)              — input waveform canonical bit pairs
 //! u64 cground                        — grounded load, canonical bits
 //! u32 m, m × (u64, u8)               — coupling caps (bits, mode byte)
 //! u32 k, k × (u64, u64)              — result waveform raw f64 bits
 //! ```
 //!
-//! # Corruption policy
+//! A payload that fails structural parsing or waveform validation is
+//! skipped like a checksum mismatch, so a corrupt entry can cost warmth,
+//! not correctness. Records are deduplicated by payload hash, within and
+//! across daemon generations.
 //!
-//! The store is written behind a live daemon, so a crash can leave a torn
-//! tail, and disks flip bits. Replay therefore trusts nothing:
+//! # Compaction
 //!
-//! - a record whose checksum does not match its payload is **skipped** and
-//!   counted — the frame structure is still intact, so replay continues
-//!   with the next record;
-//! - an implausible length word (zero, over [`MAX_RECORD`], or pointing
-//!   past EOF) means the framing itself is gone; replay **stops** there,
-//!   dropping the unreadable tail;
-//! - a payload that fails structural parsing or waveform validation is
-//!   skipped like a checksum mismatch.
-//!
-//! In every case the store loads fewer entries, never a wrong one: a
-//! corrupt entry can cost warmth, not correctness.
-//!
-//! # Durability and compaction
-//!
-//! Appends always `flush()` to the OS; how far they go beyond that is the
-//! [`SyncPolicy`]: `Always` fsyncs every append (a crash loses nothing
-//! acknowledged), `Interval` fsyncs at most once a second (the default —
-//! a crash loses at most the last second of warmth), `Never` leaves
-//! durability to the OS. Because replay trusts nothing, a torn tail from
-//! any policy is skipped, never served.
-//!
-//! The log is append-only, so corrupt regions and torn tails accumulate
-//! across crashes. [`SolveStore::compact`] rewrites the live records into
-//! a fresh generation file (`<path>.new`), fsyncs it, and atomically
-//! renames it over the old one — the old generation stays intact on disk
-//! until the new one is durable, so a crash at any point of a compaction
-//! leaves a replayable store. Compaction triggers on demand (the `compact`
-//! protocol command) or automatically when the file crosses the
-//! configured size threshold.
+//! The log is append-only, so corrupt records accumulate across crashes.
+//! [`SolveStore::compact`] rewrites the records that still decode into a
+//! new generation, on demand (the `compact` protocol command) or
+//! automatically when the file crosses the configured size threshold.
 
-use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::sync::Mutex;
 
-use xtalk_wave::signature::StableHasher;
 use xtalk_wave::Waveform;
 
 use crate::exec::cache::{SolveCache, SolveKey};
+use crate::recordlog::{checksum, lock, Format, Reader, RecordLog, MAX_RECORD};
+pub use crate::recordlog::{CompactStats, SyncPolicy};
+#[cfg(test)]
+use {crate::recordlog::next_record, std::path::PathBuf};
 
 /// Leading magic of a store file (version-bumped on format changes).
 /// Version 2 added the PVT-corner discriminant to every record's solve
@@ -89,35 +61,13 @@ pub const MAGIC: &[u8] = b"XTALKSOLVESTORE2\n";
 /// refusing the file or replaying it.
 pub const MAGIC_V1: &[u8] = b"XTALKSOLVESTORE1\n";
 
-/// Upper bound on one record's payload; length words above this are
-/// treated as framing corruption.
-pub const MAX_RECORD: usize = 1 << 20;
-
-/// How far an append is pushed toward the platter before returning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// `fsync` after every append: a crash loses nothing acknowledged.
-    Always,
-    /// `fsync` at most once per second (piggybacked on appends): a crash
-    /// loses at most the last second of warmth. The default.
-    #[default]
-    Interval,
-    /// `flush()` only; durability is the operating system's schedule.
-    Never,
-}
-
-impl SyncPolicy {
-    /// Parses the CLI/config token (`always` | `interval` | `never`).
-    #[must_use]
-    pub fn parse(token: &str) -> Option<SyncPolicy> {
-        Some(match token {
-            "always" => SyncPolicy::Always,
-            "interval" => SyncPolicy::Interval,
-            "never" => SyncPolicy::Never,
-            _ => return None,
-        })
-    }
-}
+/// The solve store's log: a record's dedup identity is its payload hash.
+static FORMAT: Format<u64> = Format {
+    name: "solve store",
+    magic: MAGIC,
+    retired: Some(MAGIC_V1),
+    identity: |payload| Some(checksum(payload)),
+};
 
 /// Counters describing a store's lifetime (replay + appends).
 #[derive(Debug, Clone, Copy, Default)]
@@ -140,32 +90,12 @@ pub struct StoreStats {
     pub stale_skipped: u64,
 }
 
-/// What one [`SolveStore::compact`] call accomplished.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactStats {
-    /// Intact records carried into the new generation.
-    pub live: u64,
-    /// Corrupt records (and torn tails, counted once) left behind.
-    pub dropped: u64,
-    /// File size before compaction, bytes.
-    pub bytes_before: u64,
-    /// File size after compaction, bytes.
-    pub bytes_after: u64,
-}
-
-/// The append-only on-disk solve store. All methods take `&self`; the
-/// writer and dedup set are internally locked, so the daemon's connection
+/// The append-only on-disk solve store. All methods take `&self`; the log
+/// and the counters are internally locked, so the daemon's connection
 /// threads share one instance.
 pub struct SolveStore {
-    path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
-    /// Payload hashes of every record on disk (loaded + appended), for
-    /// write-behind dedup across daemon restarts.
-    seen: Mutex<HashSet<u64>>,
+    log: RecordLog<u64>,
     stats: Mutex<StoreStats>,
-    sync: SyncPolicy,
-    /// Last fsync under [`SyncPolicy::Interval`].
-    last_sync: Mutex<Instant>,
     /// File size (bytes) past which an append triggers a compaction;
     /// `None` compacts only on demand.
     compact_threshold: Option<u64>,
@@ -174,7 +104,7 @@ pub struct SolveStore {
 impl std::fmt::Debug for SolveStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveStore")
-            .field("path", &self.path)
+            .field("path", &self.path())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -191,65 +121,13 @@ impl SolveStore {
     /// does not start with the store magic (wrong file — refusing to
     /// append garbage to it).
     pub fn open(path: &Path) -> std::io::Result<SolveStore> {
-        let mut seen = HashSet::new();
-        let mut stale = 0u64;
-        // An empty existing file (a crash between create and header write)
-        // counts as fresh and gets its magic (re)written.
-        let mut fresh = !path.exists() || std::fs::metadata(path)?.len() == 0;
-        if !fresh {
-            let bytes = std::fs::read(path)?;
-            if bytes.starts_with(MAGIC_V1) {
-                // A previous-version generation: its records predate the
-                // corner discriminant in the solve key, so replaying them
-                // could serve one corner's bits to another. Count them and
-                // install a fresh generation with the compaction discipline
-                // (new file durable before the rename), never replay them.
-                let mut cursor = MAGIC_V1.len();
-                while let Some((_, next)) = next_record(&bytes, cursor) {
-                    stale += 1;
-                    cursor = next;
-                }
-                let new_path = PathBuf::from(format!("{}.new", path.display()));
-                {
-                    let mut out = BufWriter::new(File::create(&new_path)?);
-                    out.write_all(MAGIC)?;
-                    out.flush()?;
-                    out.get_ref().sync_data()?;
-                }
-                std::fs::rename(&new_path, path)?;
-                fresh = false; // header already written by the swap
-            } else if !bytes.starts_with(MAGIC) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{} is not a solve store (bad magic)", path.display()),
-                ));
-            } else {
-                // Pre-scan the intact prefix so appends dedup against it.
-                let mut cursor = MAGIC.len();
-                while let Some((payload, next)) = next_record(&bytes, cursor) {
-                    if let Some(payload) = payload {
-                        seen.insert(payload_hash(payload));
-                    }
-                    cursor = next;
-                }
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut writer = BufWriter::new(file);
-        if fresh {
-            writer.write_all(MAGIC)?;
-            writer.flush()?;
-        }
+        let (log, stale) = RecordLog::open(path, &FORMAT, SyncPolicy::default())?;
         Ok(SolveStore {
-            path: path.to_path_buf(),
-            writer: Mutex::new(writer),
-            seen: Mutex::new(seen),
+            log,
             stats: Mutex::new(StoreStats {
                 stale_skipped: stale,
                 ..StoreStats::default()
             }),
-            sync: SyncPolicy::default(),
-            last_sync: Mutex::new(Instant::now()),
             compact_threshold: None,
         })
     }
@@ -257,7 +135,7 @@ impl SolveStore {
     /// Sets the append durability policy (default: [`SyncPolicy::Interval`]).
     #[must_use]
     pub fn with_sync_policy(mut self, sync: SyncPolicy) -> Self {
-        self.sync = sync;
+        self.log.sync = sync;
         self
     }
 
@@ -271,7 +149,7 @@ impl SolveStore {
     /// The store file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Lifetime counters so far.
@@ -290,40 +168,16 @@ impl SolveStore {
     /// Only on failing to read the file itself; corruption inside the file
     /// is never an error.
     pub(crate) fn replay(&self, cache: &SolveCache) -> std::io::Result<(u64, u64)> {
-        // Take the writer lock across the read so a concurrent append
-        // cannot interleave a half-written record into our view.
-        let mut writer = lock(&self.writer);
-        writer.flush()?;
-        let bytes = std::fs::read(&self.path)?;
-        drop(writer);
+        let bytes = self.log.read()?;
         let mut replayed = 0u64;
         let mut corrupt = 0u64;
-        if !bytes.starts_with(MAGIC) {
-            // The header itself was damaged after open(): everything below
-            // it is unreadable. Start cold.
-            let mut stats = lock(&self.stats);
-            stats.corrupt_skipped += 1;
-            return Ok((0, 1));
-        }
-        let mut cursor = MAGIC.len();
-        loop {
-            match next_record(&bytes, cursor) {
-                None if cursor == bytes.len() => break, // clean end
-                None => {
-                    // Truncated or unframed tail: stop, count once.
-                    corrupt += 1;
-                    break;
+        for entry in self.log.walk(&bytes) {
+            match entry.payload().and_then(decode_payload) {
+                Some((key, wave)) => {
+                    cache.preload(key, wave);
+                    replayed += 1;
                 }
-                Some((payload, next)) => {
-                    match payload.and_then(decode_payload) {
-                        Some((key, wave)) => {
-                            cache.preload(key, wave);
-                            replayed += 1;
-                        }
-                        None => corrupt += 1,
-                    }
-                    cursor = next;
-                }
+                None => corrupt += 1,
             }
         }
         let mut stats = lock(&self.stats);
@@ -345,58 +199,27 @@ impl SolveStore {
         if entries.is_empty() {
             return Ok(0);
         }
-        let mut written = 0u64;
-        let mut deduped = 0u64;
-        let mut writer = lock(&self.writer);
-        let mut seen = lock(&self.seen);
-        for (key, wave) in entries {
-            let payload = encode_payload(key, wave);
-            let hash = payload_hash(&payload);
-            if !seen.insert(hash) {
-                deduped += 1;
-                continue;
-            }
-            let mut h = StableHasher::new();
-            h.write_bytes(&payload);
-            writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-            writer.write_all(&h.finish().to_le_bytes())?;
-            writer.write_all(&payload)?;
-            written += 1;
-        }
-        writer.flush()?;
-        if written > 0 {
-            match self.sync {
-                SyncPolicy::Always => writer.get_ref().sync_data()?,
-                SyncPolicy::Interval => {
-                    let mut last = lock(&self.last_sync);
-                    if last.elapsed() >= Duration::from_secs(1) {
-                        writer.get_ref().sync_data()?;
-                        *last = Instant::now();
-                    }
-                }
-                SyncPolicy::Never => {}
+        let payloads: Vec<Vec<u8>> = entries
+            .iter()
+            .map(|(key, wave)| encode_payload(key, wave))
+            .collect();
+        let (written, deduped) = self.log.append(&payloads)?;
+        if let Some(threshold) = self.compact_threshold {
+            if self.log.file_len()? >= threshold {
+                self.compact()?;
             }
         }
-        let over_threshold = match self.compact_threshold {
-            Some(threshold) => writer.get_ref().metadata()?.len() >= threshold,
-            None => false,
-        };
-        if over_threshold {
-            self.compact_locked(&mut writer, &mut seen)?;
-        }
-        drop(writer);
-        drop(seen);
         let mut stats = lock(&self.stats);
         stats.appended += written;
         stats.deduped += deduped;
         Ok(written)
     }
 
-    /// Rewrites the live records into a fresh generation and installs it
-    /// atomically: the new generation (`<path>.new`) is fully written and
-    /// fsynced *before* the rename, so the old generation survives any
-    /// crash mid-compaction. Corrupt records and torn tails are left
-    /// behind (they would never replay anyway).
+    /// Rewrites the records that still decode into a fresh generation and
+    /// installs it atomically: the new generation (`<path>.new`) is fully
+    /// written and fsynced *before* the rename, so the old generation
+    /// survives any crash mid-compaction. Corrupt records and torn tails
+    /// are left behind (they would never replay anyway).
     ///
     /// # Errors
     ///
@@ -404,133 +227,14 @@ impl SolveStore {
     /// old generation is still in place and the store keeps appending to
     /// it.
     pub fn compact(&self) -> std::io::Result<CompactStats> {
-        let mut writer = lock(&self.writer);
-        let mut seen = lock(&self.seen);
-        self.compact_locked(&mut writer, &mut seen)
-    }
-
-    /// [`compact`](Self::compact) with the writer and dedup-set locks
-    /// already held (shared by the on-demand and size-triggered paths).
-    fn compact_locked(
-        &self,
-        writer: &mut MutexGuard<'_, BufWriter<File>>,
-        seen: &mut MutexGuard<'_, HashSet<u64>>,
-    ) -> std::io::Result<CompactStats> {
-        writer.flush()?;
-        let bytes = std::fs::read(&self.path)?;
-        let bytes_before = bytes.len() as u64;
-
-        // Collect the records that would actually replay: intact framing,
-        // matching checksum, decodable payload. Everything else is the
-        // dead weight compaction exists to drop.
-        let mut live: Vec<&[u8]> = Vec::new();
-        let mut dropped = 0u64;
-        if bytes.starts_with(MAGIC) {
-            let mut cursor = MAGIC.len();
-            loop {
-                match next_record(&bytes, cursor) {
-                    None if cursor == bytes.len() => break,
-                    None => {
-                        dropped += 1; // torn/unframed tail, counted once
-                        break;
-                    }
-                    Some((payload, next)) => {
-                        match payload.filter(|p| decode_payload(p).is_some()) {
-                            Some(p) => live.push(p),
-                            None => dropped += 1,
-                        }
-                        cursor = next;
-                    }
-                }
-            }
-        } else if bytes_before > 0 {
-            dropped += 1; // damaged header: the whole generation is dead
-        }
-
-        // Write the new generation beside the old one and make it durable
-        // before the atomic swap.
-        let new_path = PathBuf::from(format!("{}.new", self.path.display()));
-        {
-            let mut out = BufWriter::new(File::create(&new_path)?);
-            out.write_all(MAGIC)?;
-            for payload in &live {
-                let mut h = StableHasher::new();
-                h.write_bytes(payload);
-                out.write_all(&(payload.len() as u32).to_le_bytes())?;
-                out.write_all(&h.finish().to_le_bytes())?;
-                out.write_all(payload)?;
-            }
-            out.flush()?;
-            out.get_ref().sync_data()?;
-        }
-        std::fs::rename(&new_path, &self.path)?;
-        // Make the rename itself durable where the platform allows it; a
-        // failure here costs durability of the *swap*, not correctness —
-        // both generations are valid stores.
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-
-        // Re-point the append writer at the new generation and rebuild the
-        // dedup set from what actually survived.
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        let bytes_after = file.metadata()?.len();
-        **writer = BufWriter::new(file);
-        seen.clear();
-        seen.extend(live.iter().map(|p| payload_hash(p)));
-
-        let result = CompactStats {
-            live: live.len() as u64,
-            dropped,
-            bytes_before,
-            bytes_after,
-        };
+        let result = self
+            .log
+            .compact(|payload| decode_payload(payload).is_some())?;
         let mut stats = lock(&self.stats);
         stats.compactions += 1;
-        stats.compact_dropped += dropped;
+        stats.compact_dropped += result.dropped;
         Ok(result)
     }
-}
-
-/// Poison-tolerant lock: the store must keep serving after a panicked
-/// connection thread.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// FNV over a payload, as the dedup identity of a record.
-fn payload_hash(payload: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_bytes(payload);
-    h.finish()
-}
-
-/// Walks one record starting at `cursor`. Returns `None` when the framing
-/// is unusable from here on (truncated header/payload or implausible
-/// length — including the clean-EOF case, which the caller distinguishes
-/// by `cursor == bytes.len()`). Otherwise returns the payload —
-/// `Some(bytes)` if its checksum matched, `None` if not — and the offset
-/// of the next record.
-#[allow(clippy::type_complexity)]
-fn next_record(bytes: &[u8], cursor: usize) -> Option<(Option<&[u8]>, usize)> {
-    let head = bytes.get(cursor..cursor + 12)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if len == 0 || len > MAX_RECORD {
-        return None;
-    }
-    let checksum = u64::from_le_bytes([
-        head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-    ]);
-    let start = cursor + 12;
-    let payload = bytes.get(start..start + len)?;
-    let mut h = StableHasher::new();
-    h.write_bytes(payload);
-    let ok = h.finish() == checksum;
-    Some((ok.then_some(payload), start + len))
 }
 
 fn encode_payload(key: &SolveKey, wave: &Waveform) -> Vec<u8> {
@@ -575,10 +279,7 @@ fn encode_payload(key: &SolveKey, wave: &Waveform) -> Vec<u8> {
 /// violation or when the stored waveform fails validation — a checksum
 /// collision over a damaged record must not preload garbage.
 fn decode_payload(payload: &[u8]) -> Option<(SolveKey, Waveform)> {
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut r = Reader(payload);
     let cell_len = r.u16()? as usize;
     let cell = String::from_utf8(r.take(cell_len)?.to_vec()).ok()?;
     let stage = r.u32()?;
@@ -608,9 +309,9 @@ fn decode_payload(payload: &[u8]) -> Option<(SolveKey, Waveform)> {
     }
     let mut points = Vec::with_capacity(k);
     for _ in 0..k {
-        points.push((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?)));
+        points.push((r.f64()?, r.f64()?));
     }
-    if r.pos != payload.len() {
+    if !r.0.is_empty() {
         return None; // trailing bytes: not a record we wrote
     }
     let result = Waveform::new(points).ok()?;
@@ -618,38 +319,6 @@ fn decode_payload(payload: &[u8]) -> Option<(SolveKey, Waveform)> {
         SolveKey::from_parts(cell, stage, slot, flags, corner, wave, cground, couplings),
         result,
     ))
-}
-
-/// A bounds-checked little-endian cursor over a payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
 }
 
 #[cfg(test)]

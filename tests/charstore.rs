@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use xtalk::prelude::*;
-use xtalk::sta::CharacterizeMode;
+use xtalk::sta::{CharStore, CharacterizeMode};
 use xtalk::wave::macromodel::{char_solves, clear_store};
 
 /// Max-delay analyses where the fast path may engage (mirrors
@@ -238,4 +238,50 @@ fn corrupt_store_records_are_skipped_and_rebuilt() {
     let rebuilt = analyze(ExecConfig::serial().with_char_store(Some(store.clone())));
     assert_bits_equal(&reference, &rebuilt, "corrupt-store rebuild");
     let _ = std::fs::remove_file(&store);
+}
+
+/// A crash that tears the store's last record must not strand later
+/// appends behind the tear: the next analyzer build re-characterizes the
+/// torn arc, and its append lands where every later replay reaches it.
+#[test]
+fn torn_tail_is_healed_by_the_next_append() {
+    let _guard = store_lock();
+    let d = design(4321);
+    let store = tmp_store("torn_src");
+    let _ = std::fs::remove_file(&store);
+    let build = |path: &PathBuf| {
+        clear_store();
+        Sta::with_config(
+            &d.netlist,
+            &d.library,
+            &d.process,
+            &d.parasitics,
+            ExecConfig::serial().with_char_store(Some(path.clone())),
+        )
+        .expect("sta");
+    };
+
+    build(&store);
+    let filled = CharStore::open(&store).expect("open").load().expect("load");
+    assert!(filled.models > 0, "the build characterized nothing");
+    assert_eq!(filled.corrupt, 0);
+
+    // A path no handle in this process has opened yet: `open_shared`
+    // caches one handle per path.
+    let torn = tmp_store("torn_copy");
+    let bytes = std::fs::read(&store).expect("read store");
+    std::fs::write(&torn, &bytes[..bytes.len() - 5]).expect("write torn copy");
+
+    build(&torn);
+    let healed = CharStore::open(&torn)
+        .expect("reopen")
+        .load()
+        .expect("load");
+    assert_eq!(
+        healed.models, filled.models,
+        "the re-characterized arc was appended behind the torn tail"
+    );
+    assert_eq!(healed.corrupt, 0, "the torn tail is still on disk");
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(&torn);
 }
