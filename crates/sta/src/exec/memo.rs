@@ -20,8 +20,9 @@
 //!   regardless of which pass, mode or analysis stored it. No pass
 //!   bookkeeping is needed.
 //! - **Stage-index stability.** Entries are keyed by position in the
-//!   current [`crate::graph::TimingGraph`]; a graph rebuild (ECO apply)
-//!   reassigns indices, so the owner must [`ArcMemo::clear`] the memo then.
+//!   current [`crate::graph::TimingGraph`]; replacing the graph (ECO apply
+//!   or rollback) reassigns indices, so the owner must [`ArcMemo::clear`]
+//!   the memo then.
 //!   (The global cache survives rebuilds because it keys cell *names*.)
 //!
 //! Determinism: a given stage's solves all run inside that stage's single
@@ -209,8 +210,8 @@ impl ArcMemo {
         });
     }
 
-    /// Drops every entry. Mandatory after any graph rebuild: entries are
-    /// keyed by stage index, which a rebuild reassigns.
+    /// Drops every entry. Mandatory whenever the graph is replaced:
+    /// entries are keyed by stage index, which a new graph reassigns.
     pub(crate) fn clear(&self) {
         for cell in rlock(&self.slots).iter() {
             lock(cell).entries.clear();

@@ -15,9 +15,12 @@
 //! offset table, so the propagation kernel and the wavefront scheduler walk
 //! contiguous memory instead of chasing one heap allocation per node.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use xtalk_layout::Parasitics;
 use xtalk_netlist::{GateId, NetId, Netlist, NetlistError};
-use xtalk_tech::cell::StageSignal;
+use xtalk_tech::cell::{Stage, StageSignal};
 use xtalk_tech::{Library, Process};
 use xtalk_wave::sensitize;
 
@@ -135,6 +138,11 @@ pub struct FanoutArc {
     pub slot: u32,
 }
 
+/// Sensitizing side values of one library stage per
+/// `[slot][output-rising as usize]`; `None` marks a non-sensitizable arc.
+/// Every instance of a cell stage shares one table.
+pub type SideTable = Arc<[[Option<Vec<f64>>; 2]]>;
+
 /// One stage instance of the expanded graph.
 ///
 /// Coupling capacitances on the output net live in the graph-level CSR
@@ -155,13 +163,12 @@ pub struct StageInst {
     /// Fixed grounded load on the output (diffusion + wire + pins or
     /// internal gate caps), farads.
     pub cground: f64,
-    /// Sensitizing side values per `[slot][output-rising as usize]`;
-    /// `None` marks a non-sensitizable arc. Chosen for the *slowest*
-    /// sensitizing assignment (max-delay analysis).
-    pub sides: Vec<[Option<Vec<f64>>; 2]>,
+    /// Sensitizing side values, chosen for the *slowest* sensitizing
+    /// assignment (max-delay analysis).
+    pub sides: SideTable,
     /// Like `sides` but for the *fastest* sensitizing assignment
     /// (min-delay / hold analysis).
-    pub sides_fast: Vec<[Option<Vec<f64>>; 2]>,
+    pub sides_fast: SideTable,
 }
 
 /// The expanded timing graph.
@@ -250,9 +257,18 @@ impl TimingGraph {
 
         let mut stages: Vec<StageInst> = Vec::new();
         let mut coupling_rows: Vec<Vec<(NetId, f64)>> = Vec::new();
+        // Side values are a pure function of the library stage, so each
+        // cell derives its stages' tables once and its instances share them.
+        let mut cell_sides: HashMap<&str, Vec<(SideTable, SideTable)>> = HashMap::new();
         for (gi, gate) in netlist.gates().iter().enumerate() {
             let gate_id = GateId(gi as u32);
             let cell = library.cell(&gate.cell).expect("checked above");
+            let sides_of = cell_sides.entry(cell.name.as_str()).or_insert_with(|| {
+                cell.stages
+                    .iter()
+                    .map(|stage| (side_table(stage, vdd, false), side_table(stage, vdd, true)))
+                    .collect()
+            });
 
             // Create internal timing nodes for this cell instance.
             let internal: Vec<TNodeId> = (0..cell.internal_nodes)
@@ -349,24 +365,7 @@ impl TimingGraph {
                     StageSignal::Launch => unreachable!("stages never drive Launch"),
                 };
 
-                // Sensitization per slot and output direction.
-                let sides: Vec<[Option<Vec<f64>>; 2]> = (0..stage.inputs.len())
-                    .map(|slot| {
-                        [
-                            sensitize::side_values(stage, slot, false, vdd),
-                            sensitize::side_values(stage, slot, true, vdd),
-                        ]
-                    })
-                    .collect();
-                let sides_fast: Vec<[Option<Vec<f64>>; 2]> = (0..stage.inputs.len())
-                    .map(|slot| {
-                        [
-                            sensitize::side_values_with(stage, slot, false, vdd, true),
-                            sensitize::side_values_with(stage, slot, true, vdd, true),
-                        ]
-                    })
-                    .collect();
-
+                let (sides, sides_fast) = sides_of[si].clone();
                 stages.push(StageInst {
                     gate: gate_id,
                     stage: si,
@@ -597,6 +596,20 @@ impl TimingGraph {
     }
 }
 
+/// The side-value table of one library stage: per slot and output
+/// direction, the slowest (or, with `fastest`, the fastest) sensitizing
+/// assignment.
+fn side_table(stage: &Stage, vdd: f64, fastest: bool) -> SideTable {
+    (0..stage.inputs.len())
+        .map(|slot| {
+            [
+                sensitize::side_values_with(stage, slot, false, vdd, fastest),
+                sensitize::side_values_with(stage, slot, true, vdd, fastest),
+            ]
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,6 +679,46 @@ mod tests {
                 assert!(g.couplings_of(StageId(si as u32)).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn sensitization_is_derived_once_per_cell_stage() {
+        use std::collections::hash_map::Entry;
+        let p = Process::c05um();
+        let l = Library::c05um(&p);
+        let nl = generator::generate(&GeneratorConfig::small(17), &l).expect("gen");
+        let g = TimingGraph::build(&nl, &l, &p, &Parasitics::empty(nl.net_count())).expect("build");
+        let mut first: HashMap<(&str, usize), &StageInst> = HashMap::new();
+        let mut shared = 0;
+        for s in &g.stages {
+            let cell = l.cell(&nl.gate(s.gate).cell).expect("cell");
+            let stage = &cell.stages[s.stage];
+            assert_eq!(s.sides.len(), stage.inputs.len());
+            assert_eq!(s.sides_fast.len(), stage.inputs.len());
+            for slot in 0..stage.inputs.len() {
+                for rising in [false, true] {
+                    assert_eq!(
+                        s.sides[slot][rising as usize],
+                        sensitize::side_values(stage, slot, rising, p.vdd)
+                    );
+                    assert_eq!(
+                        s.sides_fast[slot][rising as usize],
+                        sensitize::side_values_with(stage, slot, rising, p.vdd, true)
+                    );
+                }
+            }
+            match first.entry((cell.name.as_str(), s.stage)) {
+                Entry::Occupied(e) => {
+                    assert!(Arc::ptr_eq(&e.get().sides, &s.sides));
+                    assert!(Arc::ptr_eq(&e.get().sides_fast, &s.sides_fast));
+                    shared += 1;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(s);
+                }
+            }
+        }
+        assert!(shared > 0, "a generated design repeats cell stages");
     }
 
     #[test]

@@ -35,10 +35,14 @@
 //! early termination sound). The property test in `tests/incremental.rs`
 //! checks incremental == batch over random edit sequences for every mode.
 //!
-//! Edits rebuild the timing graph wholesale — graph construction is linear
-//! and negligible next to waveform propagation — and the caches are
-//! remapped onto the new graph by stable identity (net ids, gate ids,
-//! cell-internal indices), which edits never renumber.
+//! Edits rebuild the timing graph wholesale, and the caches are remapped
+//! onto the new graph by stable identity (net ids, gate ids, cell-internal
+//! indices), which edits never renumber. A build is not negligible next to
+//! a dirty-cone re-analysis: on the 3,029-stage medium block the
+//! `eco_session` benchmark measures `graph.build_s` at 2.8–2.9 ms beside a
+//! median `incremental.analyze_ms` of 23–28 ms (2-vCPU host). So a rollback
+//! restores the checkpointed graph and caches instead of rebuilding them
+//! (see [`Checkpoint`]).
 //!
 //! [`AnalysisMode::Iterative`] with `esperance: true` is delegated to the
 //! batch engine uncached: the Esperance mask is a global function of the
@@ -50,6 +54,7 @@ pub use edit::{Edit, EditError, EditOutcome, DEFAULT_BUFFER_CELL};
 
 use std::collections::{BTreeSet, HashMap};
 use std::mem;
+use std::sync::Arc;
 use std::time::Instant;
 
 use xtalk_layout::Parasitics;
@@ -67,6 +72,7 @@ use crate::policy::{self, CouplingPolicy};
 use crate::report::{ModeReport, PassStat};
 
 /// Cached result of one propagation pass of one mode.
+#[derive(Clone)]
 struct PassCache {
     /// Final per-node arrival states of the pass.
     states: Vec<NodeState>,
@@ -76,7 +82,7 @@ struct PassCache {
 }
 
 /// All cached passes of one [`AnalysisMode`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ModeCache {
     /// How many `dirt_log` entries this cache has already consumed.
     synced: usize,
@@ -84,13 +90,19 @@ struct ModeCache {
     passes: Vec<PassCache>,
 }
 
-/// A design-state snapshot taken by [`IncrementalSta::checkpoint`],
-/// restorable with [`IncrementalSta::rollback`]. Holds the netlist and
-/// parasitics by value: restoring is a wholesale swap, so rollback is exact
-/// regardless of which (or how many) edits were applied in between.
+/// An analyzer-state snapshot taken by [`IncrementalSta::checkpoint`],
+/// restorable with [`IncrementalSta::rollback`]. Holds everything an edit
+/// or an analysis can change: the netlist and parasitics by value, the
+/// timing graph shared (edits replace the graph, never mutate it), a copy
+/// of every mode's arrival cache with its `synced` counter, the dirt log
+/// and the edit count. Restoring is a wholesale swap, so rollback is exact
+/// regardless of which (or how many) edits and analyses ran in between.
 pub struct Checkpoint {
     netlist: Netlist,
     parasitics: Parasitics,
+    graph: Arc<TimingGraph>,
+    caches: Vec<(AnalysisMode, ModeCache)>,
+    dirt_log: Vec<BTreeSet<GateId>>,
     edits: usize,
 }
 
@@ -132,7 +144,8 @@ pub struct IncrementalSta<'a> {
     process: &'a Process,
     netlist: Netlist,
     parasitics: Parasitics,
-    graph: TimingGraph,
+    /// Shared with checkpoints; edits swap in a freshly built graph.
+    graph: Arc<TimingGraph>,
     exec: Executor,
     caches: Vec<(AnalysisMode, ModeCache)>,
     /// Seed gates of each applied edit not yet consumed by every cache.
@@ -192,7 +205,7 @@ impl<'a> IncrementalSta<'a> {
             process,
             netlist,
             parasitics,
-            graph,
+            graph: Arc::new(graph),
             exec,
             caches: Vec::new(),
             dirt_log: Vec::new(),
@@ -304,7 +317,7 @@ impl<'a> IncrementalSta<'a> {
             .map_err(EditError::Netlist)?;
         self.netlist = netlist;
         self.parasitics = parasitics;
-        let old_graph = mem::replace(&mut self.graph, graph);
+        let old_graph = mem::replace(&mut self.graph, Arc::new(graph));
         self.remap_caches(&old_graph);
         // The per-stage solve memo keys entries by stage *index*, which the
         // rebuild just reassigned — stale entries would be wrong, not merely
@@ -341,52 +354,53 @@ impl<'a> IncrementalSta<'a> {
             .collect()
     }
 
-    /// Snapshots the mutable design state for a later
+    /// Snapshots the analyzer state for a later
     /// [`rollback`](Self::rollback) — the primitive behind what-if
-    /// evaluation (apply candidate edits, re-time, roll back).
+    /// evaluation (apply candidate edits, re-time, roll back). Copies the
+    /// netlist, parasitics and arrival caches; the timing graph is shared.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             netlist: self.netlist.clone(),
             parasitics: self.parasitics.clone(),
+            graph: Arc::clone(&self.graph),
+            caches: self.caches.clone(),
+            dirt_log: self.dirt_log.clone(),
             edits: self.edits,
         }
     }
 
-    /// Restores the design to a [`checkpoint`](Self::checkpoint), undoing
-    /// every edit applied since it was taken.
+    /// Restores the analyzer to a [`checkpoint`](Self::checkpoint),
+    /// undoing every edit applied since it was taken.
     ///
-    /// The per-mode arrival caches and the per-stage memo are dropped (they
-    /// describe the abandoned edited design), but the keyed stage-solve
-    /// cache survives: its entries are exact-match on solver inputs, so the
-    /// re-analysis after a rollback is bit-identical to one that never saw
-    /// the what-if edits — it just re-solves far less. A later
+    /// Nothing is rebuilt: the [`Checkpoint`]'s state swaps back, so a
+    /// mode whose cache was in sync at the checkpoint replays cleanly
+    /// (zero stages evaluated) and a mode with unconsumed edits re-times
+    /// just their cones; caches filled after the checkpoint are dropped
+    /// with the abandoned design. Only the per-stage memo is cleared — it
+    /// keys entries by stage index, which the edits renumbered. A later
     /// [`analyze`](Self::analyze) therefore reproduces the pre-checkpoint
-    /// report exactly (modulo runtime and work counters).
+    /// report bit for bit (modulo runtime and work counters).
     ///
     /// # Errors
     ///
-    /// [`StaError::Netlist`] when the snapshot no longer expands to a
-    /// timing graph (impossible unless the library changed under us); the
-    /// analyzer is left unchanged in that case.
+    /// None: restoring swaps owned state and cannot fail. The `Result` is
+    /// kept for API stability.
     pub fn rollback(&mut self, checkpoint: Checkpoint) -> Result<(), StaError> {
-        let graph = TimingGraph::build(
-            &checkpoint.netlist,
-            self.library,
-            self.process,
-            &checkpoint.parasitics,
-        )?;
+        self.restore(checkpoint);
+        Ok(())
+    }
+
+    /// The infallible body of [`rollback`](Self::rollback).
+    pub(crate) fn restore(&mut self, checkpoint: Checkpoint) {
         self.netlist = checkpoint.netlist;
         self.parasitics = checkpoint.parasitics;
-        self.graph = graph;
-        self.caches.clear();
-        self.dirt_log.clear();
-        // Stage indices were reassigned by the rebuild; stale memo entries
-        // would be wrong, not merely useless (same rule as `apply`).
+        self.graph = checkpoint.graph;
+        self.caches = checkpoint.caches;
+        self.dirt_log = checkpoint.dirt_log;
         self.exec.memo().clear();
         self.edits = checkpoint.edits;
         self.last_stats = AnalyzeStats::default();
-        Ok(())
     }
 
     /// The execution state, for the serve daemon's cache-persistence hooks.

@@ -16,11 +16,11 @@ use crate::serve::proto;
 /// One connection to a running daemon.
 pub struct Client {
     stream: UnixStream,
-    /// Stamped into `analyze` / `eco` / `what-if` requests as
+    /// Stamped into `analyze` / `eco` / `what-if` / `query` requests as
     /// `deadline_ms` when set.
     deadline_ms: Option<u64>,
-    /// Stamped into `analyze` / `eco` / `what-if` requests as `corner`
-    /// when set — selects the session's per-corner analyzer.
+    /// Stamped into `analyze` / `eco` / `what-if` / `query` requests as
+    /// `corner` when set — selects the session's per-corner analyzer.
     corner: Option<String>,
 }
 
@@ -80,16 +80,16 @@ impl Client {
     }
 
     /// Sets (or clears) the per-request deadline stamped into subsequent
-    /// `analyze` / `eco` / `what-if` requests. An expired deadline gets a
-    /// typed, retryable `kind: "deadline"` response and rolls the session
-    /// back to its last committed state.
+    /// `analyze` / `eco` / `what-if` / `query` requests. An expired
+    /// deadline gets a typed, retryable `kind: "deadline"` response and
+    /// rolls the session back to its last committed state.
     pub fn set_deadline_ms(&mut self, deadline_ms: Option<u64>) {
         self.deadline_ms = deadline_ms;
     }
 
     /// Sets (or clears) the PVT corner stamped into subsequent
-    /// `analyze` / `eco` / `what-if` requests. The daemon answers an
-    /// unknown corner name with a typed `ok: false` response; `None`
+    /// `analyze` / `eco` / `what-if` / `query` requests. The daemon answers
+    /// an unknown corner name with a typed `ok: false` response; `None`
     /// (and `"base"`) address the session's base-process analyzer.
     pub fn set_corner(&mut self, corner: Option<&str>) {
         self.corner = corner.map(str::to_string);
@@ -226,6 +226,7 @@ impl Client {
         if let Some(p) = period_ns {
             fields.push(("period_ns", Json::num(p)));
         }
+        self.stamp(&mut fields);
         self.request(&Json::obj(fields))
     }
 

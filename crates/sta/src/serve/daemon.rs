@@ -865,6 +865,32 @@ fn report_fields(report: &ModeReport) -> Vec<(&'static str, Json)> {
     fields
 }
 
+/// Analyzes `mode` on `sta` within the request's deadline, answering a
+/// cancellation with the typed `deadline` response and any other failure
+/// with an error response.
+fn analyze_within(
+    shared: &Shared,
+    sta: &mut IncrementalSta<'static>,
+    mode: AnalysisMode,
+    request: &Json,
+) -> Result<ModeReport, Json> {
+    let deadline_ms = deadline_ms_for(shared, request);
+    if let Some(ms) = deadline_ms {
+        arm_deadline(sta, ms);
+    }
+    let result = sta.analyze(mode);
+    sta.executor().set_deadline(None);
+    result.map_err(|e| match e {
+        StaError::DeadlineExceeded => {
+            // The cancelled pass never committed: the mode cache was
+            // poisoned on error, so the session replays cleanly next time.
+            shared.deadline_hits.fetch_add(1, Ordering::AcqRel);
+            deadline_response(deadline_ms.unwrap_or(0))
+        }
+        e => error_response(&e.to_string(), Some(Severity::Error)),
+    })
+}
+
 fn cmd_analyze(shared: &Shared, request: &Json) -> Json {
     let session = match session_for(shared, request) {
         Ok(s) => s,
@@ -877,25 +903,13 @@ fn cmd_analyze(shared: &Shared, request: &Json) -> Json {
     let mut guard = session
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let deadline_ms = deadline_ms_for(shared, request);
     let (sta, corner) = match corner_sta(shared, &mut guard, request) {
         Ok(pair) => pair,
         Err(resp) => return resp,
     };
-    if let Some(ms) = deadline_ms {
-        arm_deadline(sta, ms);
-    }
-    let result = sta.analyze(mode);
-    sta.executor().set_deadline(None);
-    let report = match result {
+    let report = match analyze_within(shared, sta, mode, request) {
         Ok(r) => r,
-        Err(StaError::DeadlineExceeded) => {
-            // The cancelled pass never committed: the mode cache was
-            // poisoned on error, so the session replays cleanly next time.
-            shared.deadline_hits.fetch_add(1, Ordering::AcqRel);
-            return deadline_response(deadline_ms.unwrap_or(0));
-        }
-        Err(e) => return error_response(&e.to_string(), Some(Severity::Error)),
+        Err(resp) => return resp,
     };
     let stats = sta.last_stats();
     let endpoint = report
@@ -963,18 +977,11 @@ fn cmd_eco(shared: &Shared, request: &Json) -> Json {
     for edit in &edits {
         if sta.executor().deadline_expired() {
             sta.executor().set_deadline(None);
-            let rollback = match checkpoint {
-                Some(cp) => sta.rollback(cp),
-                None => Ok(()),
-            };
+            if let Some(cp) = checkpoint {
+                sta.restore(cp);
+            }
             shared.deadline_hits.fetch_add(1, Ordering::AcqRel);
-            return match rollback {
-                Ok(()) => deadline_response(deadline_ms.unwrap_or(0)),
-                Err(e) => error_response(
-                    &format!("deadline exceeded and rollback failed: {e}"),
-                    Some(Severity::Error),
-                ),
-            };
+            return deadline_response(deadline_ms.unwrap_or(0));
         }
         match sta.apply(edit) {
             Ok(outcome) => {
@@ -1032,44 +1039,28 @@ fn cmd_what_if(shared: &Shared, request: &Json) -> Json {
     if let Some(ms) = deadline_ms {
         arm_deadline(sta, ms);
     }
+    // The rollback restores the pre-edit graph and arrival caches, so the
+    // session's next analysis replays them instead of re-timing.
     let checkpoint = sta.checkpoint();
     for (i, edit) in edits.iter().enumerate() {
         if let Err(e) = sta.apply(edit) {
             sta.executor().set_deadline(None);
-            let msg = format!("what-if edit {} rejected: {e}", i + 1);
-            return match sta.rollback(checkpoint) {
-                Ok(()) => error_response(&msg, None),
-                Err(r) => error_response(
-                    &format!("{msg}; rollback also failed: {r}"),
-                    Some(Severity::Error),
-                ),
-            };
+            sta.restore(checkpoint);
+            return error_response(&format!("what-if edit {} rejected: {e}", i + 1), None);
         }
     }
     let result = sta.analyze(mode);
     sta.executor().set_deadline(None);
-    let rollback = sta.rollback(checkpoint);
+    sta.restore(checkpoint);
     drop(guard);
     let report = match result {
         Ok(r) => r,
         Err(StaError::DeadlineExceeded) => {
             shared.deadline_hits.fetch_add(1, Ordering::AcqRel);
-            return match rollback {
-                Ok(()) => deadline_response(deadline_ms.unwrap_or(0)),
-                Err(e) => error_response(
-                    &format!("deadline exceeded and rollback failed: {e}"),
-                    Some(Severity::Error),
-                ),
-            };
+            return deadline_response(deadline_ms.unwrap_or(0));
         }
         Err(e) => return error_response(&e.to_string(), Some(Severity::Error)),
     };
-    if let Err(e) = rollback {
-        return error_response(
-            &format!("what-if analysis done but rollback failed: {e}"),
-            Some(Severity::Error),
-        );
-    }
     let mut fields = vec![("ok", Json::Bool(true))];
     if let Some(c) = corner {
         fields.push(("corner", Json::str(c)));
@@ -1096,16 +1087,21 @@ fn cmd_query(shared: &Shared, request: &Json) -> Json {
     let mut guard = session
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (sta, corner) = match corner_sta(shared, &mut guard, request) {
+        Ok(pair) => pair,
+        Err(resp) => return resp,
+    };
     // A warm session replays this from its arrival caches (zero stage
-    // evaluations), so per-endpoint queries are cheap after the first.
-    let report = match guard.sta.analyze(mode) {
+    // evaluations) — also right after a what-if, whose rollback restores
+    // them — so per-endpoint queries are cheap after the first.
+    let report = match analyze_within(shared, sta, mode, request) {
         Ok(r) => r,
-        Err(e) => return error_response(&e.to_string(), Some(Severity::Error)),
+        Err(resp) => return resp,
     };
     let endpoint = report
         .endpoints
         .iter()
-        .find(|e| guard.sta.netlist().net(e.net).name == net_name)
+        .find(|e| sta.netlist().net(e.net).name == net_name)
         .copied();
     drop(guard);
     let Some(endpoint) = endpoint else {
@@ -1116,13 +1112,16 @@ fn cmd_query(shared: &Shared, request: &Json) -> Json {
     };
     let severity = report.worst_severity();
     let latest = endpoint.latest();
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
+    let mut fields = vec![("ok", Json::Bool(true))];
+    if let Some(c) = corner {
+        fields.push(("corner", Json::str(c)));
+    }
+    fields.extend([
         ("net", Json::str(net_name)),
         ("mode", Json::str(mode_token(mode))),
         ("arrival_ns", Json::num(latest * 1e9)),
         ("arrival_bits", Json::str(f64_bits_hex(latest))),
-    ];
+    ]);
     if let Some(rise) = endpoint.rise {
         fields.push(("rise_ns", Json::num(rise * 1e9)));
     }

@@ -28,10 +28,10 @@
 //! | `stats` | — | daemon, session, cache and store counters |
 //! | `shutdown` | — | answer, then stop accepting and exit |
 //!
-//! `analyze`, `eco` and `what-if` additionally accept `deadline_ms`: a
-//! per-request budget after which the analysis is cooperatively cancelled,
-//! the session rolled back to its last committed state, and a typed
-//! `deadline` failure returned.
+//! `analyze`, `eco`, `what-if` and `query` additionally accept
+//! `deadline_ms`: a per-request budget after which the analysis is
+//! cooperatively cancelled, the session rolled back to its last committed
+//! state, and a typed `deadline` failure returned.
 //!
 //! # Responses
 //!

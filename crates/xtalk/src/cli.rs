@@ -108,7 +108,7 @@ CLIENT ACTIONS (against a running `xtalk serve`):
   analyze <design> [--mode MODE] [--corner NAME]
   eco <design> <edits.eco> [--corner NAME]
   what-if <design> <edits.eco> [--mode MODE] [--corner NAME]
-  query <design> <net> [--mode MODE] [--period NS]
+  query <design> <net> [--mode MODE] [--period NS] [--corner NAME]
   compact | stats | shutdown
 
 CORNERS: --corners ss,tt,ff (or XTALK_CORNERS) runs `report`/`analyze` as a

@@ -110,6 +110,21 @@ fn random_edit(rng: &mut StdRng, eco: &IncrementalSta<'_>) -> Option<Edit> {
     None
 }
 
+/// Draws a buffer insertion — the edit that renumbers stages — if the
+/// design has a driven, loaded signal net to take one.
+fn random_buffer(rng: &mut StdRng, eco: &IncrementalSta<'_>) -> Option<Edit> {
+    let nets = eco.netlist().nets();
+    (0..32).find_map(|_| {
+        let net = &nets[rng.gen_range(0..nets.len())];
+        (net.driver.is_some() && !net.loads.is_empty() && !net.is_clock).then(|| {
+            Edit::InsertBuffer {
+                net: net.name.clone(),
+                cell: None,
+            }
+        })
+    })
+}
+
 /// Every mode the incremental engine caches (esperance delegates to the
 /// batch engine, so there is nothing to verify for it).
 fn cached_modes() -> [AnalysisMode; 6] {
@@ -210,6 +225,69 @@ proptest! {
             let incremental = eco.analyze(mode).expect("incremental analysis");
             let fresh = eco.fresh_sta().analyze(mode).expect("batch analysis");
             if let Err(msg) = assert_reports_match(mode, &incremental, &fresh) {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+
+    /// A what-if round trip restores the analyzer: after a checkpoint,
+    /// edits (one a buffer insertion, which renumbers stages), an analysis
+    /// and a rollback, every cache survives; each mode that was in sync at
+    /// the checkpoint replays cleanly with its pre-checkpoint bits, and
+    /// every mode matches a fresh batch analysis.
+    #[test]
+    fn rollback_restores_the_checkpointed_caches(
+        seed in 0u64..10_000,
+        gates in 20usize..60,
+        depth in 3usize..7,
+        edit_seed in 0u64..1_000_000,
+    ) {
+        let process = Process::c05um();
+        let library = Library::c05um(&process);
+        let mut eco = build_incremental(seed, gates, depth, &library, &process);
+        let mut rng = StdRng::seed_from_u64(edit_seed);
+
+        // Warm every cache; `before` holds each in-sync mode's report.
+        let mut before: Vec<Option<ModeReport>> = cached_modes()
+            .into_iter()
+            .map(|mode| Some(eco.analyze(mode).expect("warm analysis")))
+            .collect();
+        // Optionally commit an edit only some modes consume, so the
+        // checkpoint holds unconsumed dirt.
+        if rng.gen_bool(0.5) {
+            if let Some(edit) = random_edit(&mut rng, &eco) {
+                eco.apply(&edit).unwrap_or_else(|e| panic!("apply {edit:?}: {e}"));
+                for (mode, slot) in cached_modes().into_iter().zip(&mut before) {
+                    *slot = rng
+                        .gen_bool(0.5)
+                        .then(|| eco.analyze(mode).expect("committed analysis"));
+                }
+            }
+        }
+
+        let checkpoint = eco.checkpoint();
+        let buffer = random_buffer(&mut rng, &eco).expect("a bufferable net");
+        eco.apply(&buffer).unwrap_or_else(|e| panic!("apply {buffer:?}: {e}"));
+        for _ in 0..rng.gen_range(0usize..3) {
+            let Some(edit) = random_edit(&mut rng, &eco) else { continue };
+            eco.apply(&edit).unwrap_or_else(|e| panic!("apply {edit:?}: {e}"));
+        }
+        let what_if = cached_modes()[rng.gen_range(0..6usize)];
+        eco.analyze(what_if).expect("what-if analysis");
+        eco.rollback(checkpoint).expect("rollback");
+
+        for (mode, before) in cached_modes().into_iter().zip(&before) {
+            let restored = eco.analyze(mode).expect("restored analysis");
+            let stats = eco.last_stats();
+            prop_assert!(!stats.full, "{mode}: the rollback must restore the cache");
+            if let Some(before) = before {
+                prop_assert_eq!(stats.stages_evaluated, 0, "{}: in-sync replay", mode);
+                if let Err(msg) = assert_reports_match(mode, &restored, before) {
+                    prop_assert!(false, "pre-checkpoint {}", msg);
+                }
+            }
+            let fresh = eco.fresh_sta().analyze(mode).expect("batch analysis");
+            if let Err(msg) = assert_reports_match(mode, &restored, &fresh) {
                 prop_assert!(false, "{}", msg);
             }
         }

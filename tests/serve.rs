@@ -352,6 +352,18 @@ fn expired_deadlines_cancel_cleanly_and_leave_the_session_consistent() {
     let resp = client.eco("d", &[edit.as_str()]).expect("eco");
     assert_eq!(resp.str_field("kind"), Some("deadline"), "{resp}");
 
+    // A query on the still-uncached session must analyze, so the same
+    // budget bounds it.
+    let text = std::fs::read_to_string(&bench).expect("bench");
+    let endpoint = text
+        .lines()
+        .find_map(|l| l.strip_prefix("OUTPUT(")?.strip_suffix(')'))
+        .expect("a primary output");
+    let resp = client
+        .query("d", endpoint, Some("onestep"), None)
+        .expect("query");
+    assert_eq!(resp.str_field("kind"), Some("deadline"), "{resp}");
+
     // The daemon kept serving and the session stayed consistent: without
     // the deadline the same session reproduces the batch CLI bit for bit.
     client.set_deadline_ms(None);
@@ -657,6 +669,28 @@ fn corner_requests_select_isolated_bit_identical_replicas() {
     );
     assert_ne!(ss, base, "a derated corner cannot share the base bits");
     assert_eq!(ss, batch_corner_bits(&bench, "onestep", "ss"));
+
+    // A query addresses the same replica: the analyze's endpoint answers
+    // for ss, stamped as such, not for the base corner.
+    let endpoint = resp.str_field("endpoint").expect("endpoint").to_string();
+    let ss_query = client
+        .query("d", &endpoint, Some("onestep"), None)
+        .expect("query ss");
+    assert_eq!(
+        ok(&ss_query).str_field("corner"),
+        Some("ss"),
+        "query is stamped with the corner it answered for: {ss_query}"
+    );
+    client.set_corner(None);
+    let base_query = client
+        .query("d", &endpoint, Some("onestep"), None)
+        .expect("query base");
+    assert_ne!(
+        ok(&ss_query).str_field("arrival_bits"),
+        ok(&base_query).str_field("arrival_bits"),
+        "an ss query cannot share the base arrival bits"
+    );
+    client.set_corner(Some("ss"));
 
     // Corner edits land on that replica only: the base answer is
     // untouched afterwards.
