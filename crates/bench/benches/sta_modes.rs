@@ -284,13 +284,13 @@ fn report_exec_layer(d: &Design, label: &str) {
              ({} iters), {} hits ({:.0}%, {} warm), hist {:?}",
             i + 1,
             p.delay * 1e9,
-            p.solver_calls,
-            p.newton_solves,
-            p.newton_iters,
-            p.cache_hits,
-            100.0 * p.hit_ratio(),
-            p.warm_hits,
-            p.iter_hist,
+            p.work.stage_solves,
+            p.work.newton_solves,
+            p.work.newton_iters,
+            p.work.cache_hits,
+            100.0 * p.work.hit_ratio(),
+            p.work.warm_hits,
+            p.work.iter_hist,
         );
     }
 

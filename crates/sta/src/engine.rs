@@ -281,7 +281,13 @@ impl PropagationCore<'_> {
             _ => {
                 let policy = policy::for_single_pass(mode);
                 let out = self.run_pass(policy.as_ref(), None, None)?;
-                pass_stats.push(self.pass_stat(&out, policy.earliest()));
+                let delay = self
+                    .extreme(&out.states, policy.earliest())
+                    .map_or(0.0, |(_, _, d)| d);
+                pass_stats.push(PassStat {
+                    delay,
+                    work: out.counters,
+                });
                 Ok(out.states)
             }
         }

@@ -14,7 +14,13 @@
 //!
 //! [`ExecConfig`] is the user-facing knob set: thread count
 //! (`--threads` / `XTALK_THREADS`; 1 preserves the fully serial path),
-//! the small-batch serial cutoff, and the cache switch/capacity.
+//! the small-batch serial cutoff, the cache switch/capacity
+//! (`XTALK_CACHE`, `XTALK_CACHE_CAPACITY`), fail-fast mode (`--strict` /
+//! `XTALK_STRICT`), signoff mode (`--signoff` / `XTALK_SIGNOFF`), the PVT
+//! corner list (`--corners` / `XTALK_CORNERS`), the characterization
+//! schedule (`--characterize` / `XTALK_CHARACTERIZE`) and the
+//! characterization store path (`--char-store` / `XTALK_CHAR_STORE`).
+//! Malformed environment values are a typed [`ConfigError`].
 
 pub(crate) mod cache;
 pub(crate) mod memo;

@@ -64,12 +64,12 @@ use xtalk_tech::{Library, Process};
 use crate::engine::{Sta, StaError};
 use crate::exec::{CacheStats, ExecConfig, Executor};
 use crate::graph::{TNodeKind, TimingGraph};
-use crate::kernel::{NodeState, Pred, PropagationCore, Quiet, SolveCounters};
+use crate::kernel::{NodeState, Pred, PropagationCore, Quiet};
 use crate::mode::AnalysisMode;
 use crate::policy::iterative::{refine, RefineHost};
 use crate::policy::one_step::OneStep;
 use crate::policy::{self, CouplingPolicy};
-use crate::report::{ModeReport, PassStat};
+use crate::report::{ModeReport, PassStat, SolveCounters};
 
 /// Cached result of one propagation pass of one mode.
 #[derive(Clone)]
@@ -106,22 +106,16 @@ pub struct Checkpoint {
     edits: usize,
 }
 
-/// Work counters of the most recent [`IncrementalSta::analyze`] call.
+/// Cache reuse of the most recent [`IncrementalSta::analyze`] call. Its
+/// pass count and solver work are in the returned [`ModeReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeStats {
     /// `true` when no cache existed (or the mode is uncacheable) and the
     /// analysis ran from scratch.
     pub full: bool,
-    /// Propagation passes executed or replayed.
-    pub passes: usize,
     /// Stage evaluations actually performed, summed over passes. A fully
     /// clean replay evaluates zero stages.
     pub stages_evaluated: usize,
-    /// Transistor-level stage solves consumed (logical solver calls; calls
-    /// answered by the stage-solve cache are included).
-    pub stage_solves: usize,
-    /// Solver calls answered by the cross-pass stage-solve cache.
-    pub cache_hits: usize,
 }
 
 /// A crosstalk-aware static timing analyzer with persistent caches and
@@ -150,8 +144,6 @@ pub struct IncrementalSta<'a> {
     caches: Vec<(AnalysisMode, ModeCache)>,
     /// Seed gates of each applied edit not yet consumed by every cache.
     dirt_log: Vec<BTreeSet<GateId>>,
-    /// State-comparison tolerance for early termination; `0.0` = exact.
-    epsilon: f64,
     edits: usize,
     last_stats: AnalyzeStats,
 }
@@ -209,7 +201,6 @@ impl<'a> IncrementalSta<'a> {
             exec,
             caches: Vec::new(),
             dirt_log: Vec::new(),
-            epsilon: 0.0,
             edits: 0,
             last_stats: AnalyzeStats::default(),
         })
@@ -271,15 +262,6 @@ impl<'a> IncrementalSta<'a> {
     /// Work counters of the most recent [`analyze`](Self::analyze) call.
     pub fn last_stats(&self) -> AnalyzeStats {
         self.last_stats
-    }
-
-    /// Sets the early-termination tolerance (seconds for times, volts for
-    /// waveform values). The default `0.0` keeps incremental results
-    /// bit-identical to batch; a small positive value trades exactness for
-    /// a smaller re-evaluated cone.
-    pub fn set_epsilon(&mut self, epsilon: f64) {
-        assert!(epsilon >= 0.0 && epsilon.is_finite(), "bad epsilon");
-        self.epsilon = epsilon;
     }
 
     /// A batch analyzer over the current design state, for reference runs.
@@ -409,9 +391,9 @@ impl<'a> IncrementalSta<'a> {
     }
 
     /// Analyzes the design under `mode`, reusing cached passes where the
-    /// dirty-cone rule allows. The report is equivalent to a fresh
-    /// [`Sta::analyze`] on the current design (identical at the default
-    /// epsilon, except for runtime and solve counters).
+    /// dirty-cone rule allows. The report is identical to a fresh
+    /// [`Sta::analyze`] on the current design, except for runtime and
+    /// solve counters.
     ///
     /// # Errors
     ///
@@ -426,10 +408,7 @@ impl<'a> IncrementalSta<'a> {
             let report = self.ctx().analyze(mode)?;
             self.last_stats = AnalyzeStats {
                 full: true,
-                passes: report.passes,
                 stages_evaluated: report.passes * self.graph.stages.len(),
-                stage_solves: report.stage_solves,
-                cache_hits: report.cache_hits,
             };
             return Ok(report);
         }
@@ -444,7 +423,6 @@ impl<'a> IncrementalSta<'a> {
         };
         match self.analyze_with_cache(mode, &mut cache, &mut stats, started) {
             Ok(report) => {
-                stats.passes = report.passes;
                 self.last_stats = stats;
                 match pos {
                     Some(i) => self.caches[i].1 = cache,
@@ -478,19 +456,6 @@ impl<'a> IncrementalSta<'a> {
         let seed = self.seed_mask(cache.synced);
         cache.synced = self.dirt_log.len();
         let mut pass_stats: Vec<PassStat> = Vec::new();
-        let pass_stat = |counters: SolveCounters, delay: f64| PassStat {
-            delay,
-            solver_calls: counters.calls,
-            newton_solves: counters.solves,
-            cache_hits: counters.hits,
-            warm_hits: counters.memo_hits,
-            newton_iters: counters.iters,
-            iter_hist: counters.hist,
-            table_hits: counters.table_hits,
-            table_fallbacks: counters.table_fallbacks,
-            table_fb_reasons: counters.table_fb_reasons,
-            table_residual: counters.table_residual,
-        };
 
         match mode {
             AnalysisMode::BestCase
@@ -500,13 +465,13 @@ impl<'a> IncrementalSta<'a> {
             | AnalysisMode::MinDelay => {
                 let earliest = mode == AnalysisMode::MinDelay;
                 let policy = policy::for_single_pass(mode);
-                let counters = self.sweep_pass(cache, 0, policy.as_ref(), None, &seed, stats)?;
+                let work = self.sweep_pass(cache, 0, policy.as_ref(), None, &seed, stats)?;
                 cache.passes.truncate(1);
                 let delay = ctx
                     .extreme(&cache.passes[0].states, earliest)
                     .map(|(_, _, d)| d)
                     .unwrap_or(0.0);
-                pass_stats.push(pass_stat(counters, delay));
+                pass_stats.push(PassStat { delay, work });
             }
             AnalysisMode::Iterative { esperance: false } => {
                 // The shared §5.2 driver — same convergence test and
@@ -554,17 +519,12 @@ impl<'a> IncrementalSta<'a> {
     ) -> Result<SolveCounters, StaError> {
         let ctx = self.ctx();
         if let Some(pass) = cache.passes.get_mut(idx) {
-            let swept =
-                ctx.repropagate(policy, &mut pass.states, seed, quiet_dirty, self.epsilon)?;
+            let swept = ctx.repropagate(policy, &mut pass.states, seed, quiet_dirty)?;
             stats.stages_evaluated += swept.reevaluated;
-            stats.stage_solves += swept.counters.calls;
-            stats.cache_hits += swept.counters.hits;
             Ok(swept.counters)
         } else {
             let out = ctx.run_pass(policy, None, None)?;
             stats.stages_evaluated += self.graph.stages.len();
-            stats.stage_solves += out.counters.calls;
-            stats.cache_hits += out.counters.hits;
             cache.passes.push(PassCache {
                 states: out.states,
                 quiet_used: None,

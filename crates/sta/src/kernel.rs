@@ -31,7 +31,7 @@
 //!   the incremental sweep's exact early termination sound).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -51,7 +51,7 @@ use crate::exec::{wavefront, Executor};
 use crate::graph::{StageId, TNodeId, TNodeKind, TimingGraph};
 use crate::mode::AnalysisMode;
 use crate::policy::CouplingPolicy;
-use crate::report::{build_path, ModeReport, PassStat};
+use crate::report::{build_path, ModeReport, PassStat, SolveCounters};
 
 /// Extra arrival-time penalty of a conservative fallback waveform, seconds.
 /// Far beyond any real stage delay of the supported designs, so a degraded
@@ -129,83 +129,6 @@ pub enum Quiet {
     Never,
     /// The net is quiet after this time.
     Until(f64),
-}
-
-/// Work counters of one pass or stage evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveCounters {
-    /// Logical stage-solver calls — the paper's work metric (its mode
-    /// comparisons count solver invocations). A call answered by the
-    /// stage-solve cache still counts here.
-    pub calls: usize,
-    /// Newton integrations actually performed (cache misses or cache off).
-    pub solves: usize,
-    /// Calls answered by a reuse layer (per-stage memo or global cache).
-    pub hits: usize,
-    /// Subset of `hits` answered by the per-stage warm-start memo (borrowed
-    /// bitwise compare, no key allocation) rather than the keyed cache.
-    pub memo_hits: usize,
-    /// Total Newton iterations consumed by the `solves` integrations — the
-    /// cost metric driving cache admission.
-    pub iters: usize,
-    /// Per-solve Newton-iteration histogram: bucket 0 holds solves that
-    /// took `< 64` iterations, then doubling bands (`< 128`, `< 256`, ...)
-    /// to the `>= 4096` tail in bucket 7.
-    pub hist: [usize; 8],
-    /// Subset of `hits` answered by the characterized macromodel tables
-    /// (DESIGN.md D12) instead of a Newton integration or a cached wave.
-    pub table_hits: usize,
-    /// Calls where a usable macromodel existed but declined the query
-    /// (out-of-grid, unclassifiable input shape, unfoldable load) and the
-    /// solve fell through to the ordinary Newton path.
-    pub table_fallbacks: usize,
-    /// `table_fallbacks` split by decline reason, indexed by
-    /// [`macromodel::FallbackReason`] discriminant — the histogram that
-    /// says whether to grow a grid axis or admit a load family next.
-    pub table_fb_reasons: [usize; macromodel::FALLBACK_REASONS],
-    /// Largest certified interpolation-error bound among the table hits,
-    /// seconds — the worst-case pessimism the macromodel may have added.
-    pub table_residual: f64,
-}
-
-impl SolveCounters {
-    /// Adds `other`'s counts into `self`.
-    pub fn absorb(&mut self, other: SolveCounters) {
-        self.calls += other.calls;
-        self.solves += other.solves;
-        self.hits += other.hits;
-        self.memo_hits += other.memo_hits;
-        self.iters += other.iters;
-        for (mine, theirs) in self.hist.iter_mut().zip(other.hist) {
-            *mine += theirs;
-        }
-        self.table_hits += other.table_hits;
-        self.table_fallbacks += other.table_fallbacks;
-        for (mine, theirs) in self.table_fb_reasons.iter_mut().zip(other.table_fb_reasons) {
-            *mine += theirs;
-        }
-        self.table_residual = self.table_residual.max(other.table_residual);
-    }
-
-    /// Accounts one performed Newton integration of `newton_iters` total
-    /// iterations.
-    fn record_solve(&mut self, newton_iters: usize) {
-        self.solves += 1;
-        self.iters += newton_iters;
-        self.hist[iter_bucket(newton_iters)] += 1;
-    }
-}
-
-/// Histogram bucket of one solve's Newton-iteration count (see
-/// [`SolveCounters::hist`]).
-fn iter_bucket(iters: usize) -> usize {
-    let mut bucket = 0;
-    let mut t = iters / 64;
-    while t > 0 && bucket < 7 {
-        t >>= 1;
-        bucket += 1;
-    }
-    bucket
 }
 
 std::thread_local! {
@@ -329,7 +252,7 @@ impl Inject {
 pub struct SweepOutput {
     /// Per-node flag: the node's cached state was replaced.
     pub changed: Vec<bool>,
-    /// Solver work consumed (logical calls, Newton solves, cache hits).
+    /// Solver work consumed.
     pub counters: SolveCounters,
     /// Stages re-evaluated (of `graph.stages.len()` total).
     pub reevaluated: usize,
@@ -373,26 +296,6 @@ impl PropagationCore<'_> {
         }
     }
 
-    /// The [`PassStat`] of a completed pass output.
-    pub(crate) fn pass_stat(&self, out: &PassOutput, earliest: bool) -> PassStat {
-        PassStat {
-            delay: self
-                .extreme(&out.states, earliest)
-                .map(|(_, _, d)| d)
-                .unwrap_or(0.0),
-            solver_calls: out.counters.calls,
-            newton_solves: out.counters.solves,
-            cache_hits: out.counters.hits,
-            warm_hits: out.counters.memo_hits,
-            newton_iters: out.counters.iters,
-            iter_hist: out.counters.hist,
-            table_hits: out.counters.table_hits,
-            table_fallbacks: out.counters.table_fallbacks,
-            table_fb_reasons: out.counters.table_fb_reasons,
-            table_residual: out.counters.table_residual,
-        }
-    }
-
     /// Builds a [`ModeReport`] from completed states.
     pub(crate) fn assemble_report(
         &self,
@@ -428,6 +331,20 @@ impl PropagationCore<'_> {
             self.process.vdd,
         );
         let diagnostics = self.exec.drain_diagnostics();
+        // Destructured without `..`: a new counter that is not routed into
+        // the report's aggregates fails to compile here.
+        let SolveCounters {
+            stage_solves,
+            newton_solves,
+            cache_hits,
+            warm_hits,
+            newton_iters,
+            iter_hist: _,
+            table_hits,
+            table_fallbacks,
+            table_fb_reasons,
+            table_residual,
+        } = SolveCounters::total(&pass_stats);
         Ok(ModeReport {
             mode,
             longest_delay,
@@ -441,26 +358,15 @@ impl PropagationCore<'_> {
             critical_path,
             passes: pass_stats.len(),
             pass_delays: pass_stats.iter().map(|p| p.delay).collect(),
-            stage_solves: pass_stats.iter().map(|p| p.solver_calls).sum(),
-            newton_solves: pass_stats.iter().map(|p| p.newton_solves).sum(),
-            cache_hits: pass_stats.iter().map(|p| p.cache_hits).sum(),
-            warm_hits: pass_stats.iter().map(|p| p.warm_hits).sum(),
-            newton_iters: pass_stats.iter().map(|p| p.newton_iters).sum(),
-            table_hits: pass_stats.iter().map(|p| p.table_hits).sum(),
-            table_fallbacks: pass_stats.iter().map(|p| p.table_fallbacks).sum(),
-            table_fb_reasons: pass_stats.iter().fold(
-                [0usize; macromodel::FALLBACK_REASONS],
-                |mut acc, p| {
-                    for (slot, n) in acc.iter_mut().zip(p.table_fb_reasons) {
-                        *slot += n;
-                    }
-                    acc
-                },
-            ),
-            table_residual: pass_stats
-                .iter()
-                .map(|p| p.table_residual)
-                .fold(0.0, f64::max),
+            stage_solves,
+            newton_solves,
+            cache_hits,
+            warm_hits,
+            newton_iters,
+            table_hits,
+            table_fallbacks,
+            table_fb_reasons,
+            table_residual,
             pass_stats,
             diagnostics,
             runtime: started.elapsed(),
@@ -674,18 +580,9 @@ impl PropagationCore<'_> {
         // rule).
         let deps = wavefront::DepGraph::build(self.graph, policy.aggressor_aware());
 
-        let calls = AtomicUsize::new(0);
-        let solves = AtomicUsize::new(0);
-        let hits = AtomicUsize::new(0);
-        let memo_hits = AtomicUsize::new(0);
-        let newton_iters = AtomicUsize::new(0);
-        let hist: [AtomicUsize; 8] = Default::default();
-        let table_hits = AtomicUsize::new(0);
-        let table_fallbacks = AtomicUsize::new(0);
-        let table_fb_reasons: [AtomicUsize; macromodel::FALLBACK_REASONS] = Default::default();
-        // f64 max via bit-pattern fetch_max: valid because the residual is
-        // always >= 0 and non-negative IEEE754 doubles order like their bits.
-        let table_residual_bits = AtomicU64::new(0);
+        // Each stage task absorbs its work here; absorbing only sums and
+        // takes a max, so the total is independent of completion order.
+        let work = Mutex::new(SolveCounters::default());
         let failed = AtomicBool::new(false);
         let first_error: Mutex<Option<(usize, StaError)>> = Mutex::new(None);
         let view = StateView::Cells(&cells);
@@ -711,27 +608,9 @@ impl PropagationCore<'_> {
             let sid = StageId(si as u32);
             match self.eval_stage_contained(sid, &solver, policy, &view, prev, recompute) {
                 Ok(ev) => {
-                    calls.fetch_add(ev.counters.calls, Ordering::Relaxed);
-                    solves.fetch_add(ev.counters.solves, Ordering::Relaxed);
-                    hits.fetch_add(ev.counters.hits, Ordering::Relaxed);
-                    memo_hits.fetch_add(ev.counters.memo_hits, Ordering::Relaxed);
-                    newton_iters.fetch_add(ev.counters.iters, Ordering::Relaxed);
-                    for (bucket, n) in ev.counters.hist.iter().enumerate() {
-                        if *n > 0 {
-                            hist[bucket].fetch_add(*n, Ordering::Relaxed);
-                        }
-                    }
-                    table_hits.fetch_add(ev.counters.table_hits, Ordering::Relaxed);
-                    table_fallbacks.fetch_add(ev.counters.table_fallbacks, Ordering::Relaxed);
-                    for (slot, n) in table_fb_reasons.iter().zip(ev.counters.table_fb_reasons) {
-                        if n > 0 {
-                            slot.fetch_add(n, Ordering::Relaxed);
-                        }
-                    }
-                    if ev.counters.table_residual > 0.0 {
-                        table_residual_bits
-                            .fetch_max(ev.counters.table_residual.to_bits(), Ordering::Relaxed);
-                    }
+                    work.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .absorb(ev.counters);
                     let mut out = NodeState::default();
                     for (out_rising, info) in ev.merges {
                         merge_with(&mut out, out_rising, info, earliest);
@@ -763,18 +642,7 @@ impl PropagationCore<'_> {
             .collect();
         Ok(PassOutput {
             states,
-            counters: SolveCounters {
-                calls: calls.into_inner(),
-                solves: solves.into_inner(),
-                hits: hits.into_inner(),
-                memo_hits: memo_hits.into_inner(),
-                iters: newton_iters.into_inner(),
-                hist: hist.map(AtomicUsize::into_inner),
-                table_hits: table_hits.into_inner(),
-                table_fallbacks: table_fallbacks.into_inner(),
-                table_fb_reasons: table_fb_reasons.map(AtomicUsize::into_inner),
-                table_residual: f64::from_bits(table_residual_bits.into_inner()),
-            },
+            counters: work.into_inner().unwrap_or_else(PoisonError::into_inner),
         })
     }
 
@@ -1189,8 +1057,8 @@ impl PropagationCore<'_> {
         }
     }
 
-    /// One stage solve routed through the reuse layers. `calls` counts the
-    /// logical invocation either way; only a full miss (or a disabled
+    /// One stage solve routed through the reuse layers. `stage_solves`
+    /// counts the logical invocation either way; only a full miss (or a disabled
     /// cache) pays the Newton integration, through the thread-local scratch
     /// ([`solve_lean`]). Reuse is layered cheapest-first (DESIGN.md D10):
     ///
@@ -1237,7 +1105,7 @@ impl PropagationCore<'_> {
         counters: &mut SolveCounters,
         inject: &Inject,
     ) -> Result<Waveform, StageError> {
-        counters.calls += 1;
+        counters.stage_solves += 1;
         if let Some(e) = inject.forced_error(slot) {
             return Err(e);
         }
@@ -1274,17 +1142,15 @@ impl PropagationCore<'_> {
         if let Some(model) = model {
             match model.lookup_classified(in_wave, &load, out_rising) {
                 Ok(wave) => {
-                    counters.hits += 1;
+                    counters.cache_hits += 1;
                     counters.table_hits += 1;
                     counters.table_residual =
                         counters.table_residual.max(model.certified_delay_bound());
-                    macromodel::note_hit();
                     return Ok(wave);
                 }
                 Err(reason) => {
                     counters.table_fallbacks += 1;
                     counters.table_fb_reasons[reason as usize] += 1;
-                    macromodel::note_fallback_reason(reason);
                 }
             }
         }
@@ -1311,8 +1177,8 @@ impl PropagationCore<'_> {
             if let Some(wave) = memo.get(
                 si, slot, ordinal, out_rising, earliest, corner, in_wave, &load,
             ) {
-                counters.hits += 1;
-                counters.memo_hits += 1;
+                counters.cache_hits += 1;
+                counters.warm_hits += 1;
                 return Ok(wave);
             }
         }
@@ -1354,7 +1220,7 @@ impl PropagationCore<'_> {
             if let Some(k) = &key {
                 match cache.get(k) {
                     Lookup::Hit(wave) => {
-                        counters.hits += 1;
+                        counters.cache_hits += 1;
                         return Ok(wave);
                     }
                     Lookup::Corrupt => {
@@ -1514,19 +1380,17 @@ impl PropagationCore<'_> {
     ///   timing arc connects them; during refinement the decision reads the
     ///   previous pass's quiet table instead. Uniform policies add no dirt.
     ///
-    /// Early termination: a re-evaluated stage whose fresh output matches
-    /// the cache within `epsilon` does not mark its output changed, so its
-    /// clean fan-out is never visited. Because each timing node has exactly
-    /// one producer stage and levels are applied in order, replaying the
-    /// dirty subset over the cached states reproduces the batch pass
-    /// exactly (at epsilon zero).
+    /// Early termination: a re-evaluated stage whose fresh output equals
+    /// the cache bit for bit does not mark its output changed, so its clean
+    /// fan-out is never visited. Because each timing node has exactly one
+    /// producer stage and levels are applied in order, replaying the dirty
+    /// subset over the cached states reproduces the batch pass exactly.
     pub(crate) fn repropagate(
         &self,
         policy: &dyn CouplingPolicy,
         states: &mut Vec<NodeState>,
         seed: &[bool],
         quiet_dirty: Option<&[bool]>,
-        epsilon: f64,
     ) -> Result<SweepOutput, StaError> {
         if self.exec.deadline_expired() {
             return Err(StaError::DeadlineExceeded);
@@ -1547,7 +1411,7 @@ impl PropagationCore<'_> {
         let mut starts: Vec<NodeState> = vec![NodeState::default(); n];
         self.init_start_states(&mut starts);
         for i in 0..n {
-            if self.graph.nodes[i].is_start && !state_eq(&states[i], &starts[i], epsilon) {
+            if self.graph.nodes[i].is_start && !state_eq(&states[i], &starts[i]) {
                 states[i] = std::mem::take(&mut starts[i]);
                 out.changed[i] = true;
             }
@@ -1597,7 +1461,7 @@ impl PropagationCore<'_> {
                     for (out_rising, info) in ev.merges {
                         merge_with(&mut fresh, out_rising, info, earliest);
                     }
-                    if !state_eq(&states[out_idx], &fresh, epsilon) {
+                    if !state_eq(&states[out_idx], &fresh) {
                         states[out_idx] = fresh;
                         out.changed[out_idx] = true;
                     }
@@ -1627,18 +1491,17 @@ fn mirror(wave: &Waveform, vdd: f64) -> Waveform {
     Waveform::new(pts).expect("mirror of a monotone waveform is monotone")
 }
 
-/// Arrival-state equality within `epsilon` (seconds for times, volts for
-/// waveform values). At the default `epsilon == 0.0` this is exact, which
-/// still terminates early because re-evaluation is deterministic: a stage
-/// whose inputs are bit-identical reproduces a bit-identical output.
-/// Predecessor arcs are ignored — they are a function of the winning merge
-/// and agree whenever the waveforms do.
-pub(crate) fn state_eq(a: &NodeState, b: &NodeState, epsilon: f64) -> bool {
+/// Exact arrival-state equality, which still terminates early because
+/// re-evaluation is deterministic: a stage whose inputs are bit-identical
+/// reproduces a bit-identical output. Predecessor arcs are ignored — they
+/// are a function of the winning merge and agree whenever the waveforms
+/// do.
+pub(crate) fn state_eq(a: &NodeState, b: &NodeState) -> bool {
     for dir in 0..2 {
         match (&a.dirs[dir], &b.dirs[dir]) {
             (None, None) => {}
             (Some(x), Some(y)) => {
-                if !wave_info_eq(x, y, epsilon) {
+                if !wave_info_eq(x, y) {
                     return false;
                 }
             }
@@ -1648,19 +1511,8 @@ pub(crate) fn state_eq(a: &NodeState, b: &NodeState, epsilon: f64) -> bool {
     true
 }
 
-fn wave_info_eq(a: &WaveInfo, b: &WaveInfo, epsilon: f64) -> bool {
-    if !close(a.crossing, b.crossing, epsilon) || !close(a.quiescent, b.quiescent, epsilon) {
-        return false;
-    }
-    let (pa, pb) = (a.wave.points(), b.wave.points());
-    pa.len() == pb.len()
-        && pa
-            .iter()
-            .zip(pb)
-            .all(|(&(ta, va), &(tb, vb))| close(ta, tb, epsilon) && close(va, vb, epsilon))
-}
-
-#[inline]
-fn close(a: f64, b: f64, epsilon: f64) -> bool {
-    (a - b).abs() <= epsilon
+/// Waveform points are finite (`Waveform::new` rejects anything else) and
+/// crossings come from them, so `==` is the exact comparison.
+fn wave_info_eq(a: &WaveInfo, b: &WaveInfo) -> bool {
+    a.crossing == b.crossing && a.quiescent == b.quiescent && a.wave.points() == b.wave.points()
 }

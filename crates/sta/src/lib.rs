@@ -72,7 +72,7 @@ pub use mode::AnalysisMode;
 pub use noise::{glitch_report, GlitchRecord, GlitchReport};
 pub use report::{
     corner_summary_table, fallback_reason_line, scenario_table, service_table, CornerRun,
-    EndpointWorst, ModeReport, PassStat, PathStep, ScenarioReport, ServiceCounters,
+    EndpointWorst, ModeReport, PassStat, PathStep, ScenarioReport, ServiceCounters, SolveCounters,
 };
 pub use scenario::ScenarioMatrix;
 pub use sdf::{parse_sdf, write_sdf};

@@ -15,9 +15,9 @@
 //! trajectories (and therefore their reports) bit-identical.
 
 use crate::engine::StaError;
-use crate::kernel::{NodeState, PassOutput, PropagationCore, Quiet, SolveCounters};
+use crate::kernel::{NodeState, PassOutput, PropagationCore, Quiet};
 use crate::policy::one_step::OneStep;
-use crate::report::PassStat;
+use crate::report::{PassStat, SolveCounters};
 
 /// One engine's execution of refinement passes.
 ///
@@ -69,38 +69,27 @@ pub(crate) fn refine(
     esperance: bool,
     pass_stats: &mut Vec<PassStat>,
 ) -> Result<(), StaError> {
-    let pass_stat = |counters: SolveCounters, delay: f64| PassStat {
-        delay,
-        solver_calls: counters.calls,
-        newton_solves: counters.solves,
-        cache_hits: counters.hits,
-        warm_hits: counters.memo_hits,
-        newton_iters: counters.iters,
-        iter_hist: counters.hist,
-        table_hits: counters.table_hits,
-        table_fallbacks: counters.table_fallbacks,
-        table_fb_reasons: counters.table_fb_reasons,
-        table_residual: counters.table_residual,
-    };
-
     // Pass 1: the plain one-step analysis.
-    let counters = host.run_first()?;
+    let work = host.run_first()?;
     let mut delay = core
         .longest(host.latest())
         .map(|(_, _, d)| d)
         .ok_or(StaError::NoArrivals)?;
-    pass_stats.push(pass_stat(counters, delay));
+    pass_stats.push(PassStat { delay, work });
     host.accept();
 
     let mut capped = true;
     for _ in 0..10 {
         let quiet = core.quiet_table(host.best());
-        let counters = host.run_refinement(&quiet, esperance.then_some(delay))?;
+        let work = host.run_refinement(&quiet, esperance.then_some(delay))?;
         let next_delay = core
             .longest(host.latest())
             .map(|(_, _, d)| d)
             .ok_or(StaError::NoArrivals)?;
-        pass_stats.push(pass_stat(counters, next_delay));
+        pass_stats.push(PassStat {
+            delay: next_delay,
+            work,
+        });
         let tolerance = 1e-13 + 1e-3 * delay;
         if next_delay > delay + tolerance {
             if core.exec.config().strict {

@@ -59,25 +59,25 @@ impl EndpointArrival {
     }
 }
 
-/// Work summary of one propagation pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassStat {
-    /// Longest (for min-delay: shortest) endpoint arrival after the pass,
-    /// seconds.
-    pub delay: f64,
+/// Solver work of one stage evaluation, one pass or a whole run — the one
+/// record the pass table, the report aggregates and `xtalk serve stats`
+/// all sum with [`absorb`](Self::absorb).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SolveCounters {
     /// Logical stage-solver calls — the paper's work metric; calls answered
-    /// by the stage-solve cache are included.
-    pub solver_calls: usize,
-    /// Newton integrations actually performed during the pass.
+    /// by a reuse layer or a macromodel table are included.
+    pub stage_solves: usize,
+    /// Newton integrations actually performed.
     pub newton_solves: usize,
-    /// Solver calls answered by a reuse layer (per-stage warm-start memo or
-    /// the keyed stage-solve cache).
+    /// Solver calls answered without a Newton integration: by the
+    /// macromodel tables, the per-stage warm-start memo or the keyed
+    /// stage-solve cache.
     pub cache_hits: usize,
     /// Subset of `cache_hits` answered by the per-stage warm-start memo
     /// (the allocation-free layer).
     pub warm_hits: usize,
-    /// Total Newton iterations consumed by the pass's integrations — the
-    /// cost metric behind cache admission.
+    /// Total Newton iterations consumed by the integrations — the cost
+    /// metric behind cache admission.
     pub newton_iters: usize,
     /// Per-solve Newton-iteration histogram: bucket 0 holds solves under 64
     /// iterations, then doubling bands to the `>= 4096` tail in bucket 7.
@@ -91,22 +91,81 @@ pub struct PassStat {
     /// `table_fallbacks` split by decline reason, indexed by
     /// [`xtalk_wave::macromodel::FallbackReason`] discriminant.
     pub table_fb_reasons: [usize; xtalk_wave::macromodel::FALLBACK_REASONS],
-    /// Largest certified interpolation-error bound among the pass's table
-    /// hits, seconds (0 when no table answered).
+    /// Largest certified interpolation-error bound among the table hits,
+    /// seconds (0 when no table answered).
     pub table_residual: f64,
 }
 
-impl PassStat {
-    /// Cache hits as a fraction of the pass's solver calls (0 for an
-    /// uncached or empty pass).
+impl SolveCounters {
+    /// Adds `other` into `self`: counts sum and the residual takes the max,
+    /// so a total never depends on absorption order.
+    pub fn absorb(&mut self, other: SolveCounters) {
+        self.stage_solves += other.stage_solves;
+        self.newton_solves += other.newton_solves;
+        self.cache_hits += other.cache_hits;
+        self.warm_hits += other.warm_hits;
+        self.newton_iters += other.newton_iters;
+        for (mine, theirs) in self.iter_hist.iter_mut().zip(other.iter_hist) {
+            *mine += theirs;
+        }
+        self.table_hits += other.table_hits;
+        self.table_fallbacks += other.table_fallbacks;
+        for (mine, theirs) in self.table_fb_reasons.iter_mut().zip(other.table_fb_reasons) {
+            *mine += theirs;
+        }
+        self.table_residual = self.table_residual.max(other.table_residual);
+    }
+
+    /// The summed work of `passes`.
+    #[must_use]
+    pub fn total(passes: &[PassStat]) -> SolveCounters {
+        let mut total = SolveCounters::default();
+        for pass in passes {
+            total.absorb(pass.work);
+        }
+        total
+    }
+
+    /// Cache hits as a fraction of the solver calls (0 for an uncached or
+    /// empty record).
     #[must_use]
     pub fn hit_ratio(&self) -> f64 {
-        if self.solver_calls == 0 {
+        if self.stage_solves == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / self.solver_calls as f64
+            self.cache_hits as f64 / self.stage_solves as f64
         }
     }
+
+    /// Accounts one performed Newton integration of `newton_iters` total
+    /// iterations.
+    pub(crate) fn record_solve(&mut self, newton_iters: usize) {
+        self.newton_solves += 1;
+        self.newton_iters += newton_iters;
+        self.iter_hist[iter_bucket(newton_iters)] += 1;
+    }
+}
+
+/// Histogram bucket of one solve's Newton-iteration count (see
+/// [`SolveCounters::iter_hist`]).
+fn iter_bucket(iters: usize) -> usize {
+    let mut bucket = 0;
+    let mut t = iters / 64;
+    while t > 0 && bucket < 7 {
+        t >>= 1;
+        bucket += 1;
+    }
+    bucket
+}
+
+/// One propagation pass: its result and the solver work it took.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassStat {
+    /// Longest (for min-delay: shortest) endpoint arrival after the pass,
+    /// seconds.
+    pub delay: f64,
+    /// Solver work of the pass.
+    pub work: SolveCounters,
 }
 
 /// Result of one analysis run.
@@ -161,8 +220,8 @@ pub struct ModeReport {
     /// seconds — the worst-case pessimism the macromodel may have added to
     /// any reported arrival.
     pub table_residual: f64,
-    /// Per-pass work breakdown (delay, solver calls, Newton solves, cache
-    /// hits, warm hits, iteration histogram), in pass order.
+    /// Per-pass delay and solver work, in pass order. The counters above
+    /// are their [`SolveCounters::total`].
     pub pass_stats: Vec<PassStat>,
     /// Faults contained during the analysis (empty on a clean run). Each
     /// records the degraded node and the conservative bound substituted for
@@ -379,7 +438,7 @@ pub fn slack_table(netlist: &Netlist, report: &ModeReport, period: f64, n: usize
 }
 
 /// Labels of the per-solve Newton-iteration histogram buckets, matching
-/// [`PassStat::iter_hist`]: doubling bands from `<64` to the `>=4096` tail.
+/// [`SolveCounters::iter_hist`]: doubling bands from `<64` to the `>=4096` tail.
 pub const ITER_HIST_LABELS: [&str; 8] =
     ["<64", "<128", "<256", "<512", "<1k", "<2k", "<4k", ">=4k"];
 
@@ -402,12 +461,12 @@ pub fn solver_table(report: &ModeReport) -> String {
         let _ = write!(out, " {label:>5}");
     }
     let _ = writeln!(out);
-    let mut row = |tag: &str, s: &PassStat| {
+    let mut row = |tag: &str, s: &SolveCounters| {
         let _ = write!(
             out,
             "{:>5} {:>8} {:>8} {:>9} {:>4.0}% {:>6} {:>7}",
             tag,
-            s.solver_calls,
+            s.stage_solves,
             s.newton_solves,
             s.newton_iters,
             100.0 * s.hit_ratio(),
@@ -419,23 +478,11 @@ pub fn solver_table(report: &ModeReport) -> String {
         }
         let _ = writeln!(out);
     };
-    let mut total = PassStat::default();
     for (i, s) in report.pass_stats.iter().enumerate() {
-        row(&(i + 1).to_string(), s);
-        total.solver_calls += s.solver_calls;
-        total.newton_solves += s.newton_solves;
-        total.cache_hits += s.cache_hits;
-        total.warm_hits += s.warm_hits;
-        total.newton_iters += s.newton_iters;
-        total.table_hits += s.table_hits;
-        total.table_fallbacks += s.table_fallbacks;
-        total.table_residual = total.table_residual.max(s.table_residual);
-        for (t, c) in total.iter_hist.iter_mut().zip(s.iter_hist) {
-            *t += c;
-        }
+        row(&(i + 1).to_string(), &s.work);
     }
     if report.pass_stats.len() > 1 {
-        row("total", &total);
+        row("total", &SolveCounters::total(&report.pass_stats));
     }
     out
 }
@@ -730,16 +777,18 @@ mod tests {
     fn solver_table_aligns_passes_with_labeled_buckets() {
         let pass = |calls: usize, hits: usize, iters: usize| PassStat {
             delay: 1e-9,
-            solver_calls: calls,
-            newton_solves: calls - hits,
-            cache_hits: hits,
-            warm_hits: hits / 2,
-            newton_iters: iters,
-            iter_hist: [calls - hits, 0, 0, 0, 0, 0, 0, 1],
-            table_hits: hits / 4,
-            table_fallbacks: 1,
-            table_fb_reasons: [1, 0, 0, 0, 0],
-            table_residual: 2.5e-12,
+            work: SolveCounters {
+                stage_solves: calls,
+                newton_solves: calls - hits,
+                cache_hits: hits,
+                warm_hits: hits / 2,
+                newton_iters: iters,
+                iter_hist: [calls - hits, 0, 0, 0, 0, 0, 0, 1],
+                table_hits: hits / 4,
+                table_fallbacks: 1,
+                table_fb_reasons: [1, 0, 0, 0, 0],
+                table_residual: 2.5e-12,
+            },
         };
         let report = ModeReport {
             mode: AnalysisMode::Iterative { esperance: false },
@@ -810,16 +859,15 @@ mod tests {
             table_residual: 0.0,
             pass_stats: vec![PassStat {
                 delay: 10.5e-9,
-                solver_calls: 123,
-                newton_solves: 100,
-                cache_hits: 23,
-                warm_hits: 7,
-                newton_iters: 4200,
-                iter_hist: [100, 0, 0, 0, 0, 0, 0, 0],
-                table_hits: 0,
-                table_fallbacks: 0,
-                table_fb_reasons: [0; 5],
-                table_residual: 0.0,
+                work: SolveCounters {
+                    stage_solves: 123,
+                    newton_solves: 100,
+                    cache_hits: 23,
+                    warm_hits: 7,
+                    newton_iters: 4200,
+                    iter_hist: [100, 0, 0, 0, 0, 0, 0, 0],
+                    ..SolveCounters::default()
+                },
             }],
             diagnostics: Vec::new(),
             runtime: Duration::from_millis(12),
@@ -832,7 +880,7 @@ mod tests {
         let shown = r.to_string();
         assert!(shown.contains("123 solves"));
         assert!(shown.contains("23 cached (7 warm)"));
-        let ps = r.pass_stats[0];
+        let ps = r.pass_stats[0].work;
         assert!((ps.hit_ratio() - 23.0 / 123.0).abs() < 1e-12);
     }
 }

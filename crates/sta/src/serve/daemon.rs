@@ -53,7 +53,7 @@ use crate::exec::ExecConfig;
 use crate::fault::{ServeFault, ServeFaultPlan};
 use crate::incremental::{Edit, IncrementalSta};
 use crate::mode::AnalysisMode;
-use crate::report::ModeReport;
+use crate::report::{ModeReport, SolveCounters};
 use crate::serve::json::Json;
 use crate::serve::proto::{
     self, busy_response, deadline_response, error_response, exit_code_for, f64_bits_hex,
@@ -252,6 +252,9 @@ struct Shared {
     deadline_hits: AtomicU64,
     busy_rejections: AtomicU64,
     store_write_failures: AtomicU64,
+    /// Solver work of every completed served analysis (analyze, what-if,
+    /// query), surfaced as the `stats` response's table counters.
+    work: Mutex<SolveCounters>,
     /// Live connections (reader clones), for the graceful shutdown drain:
     /// `shutdown(Read)` unblocks handler threads parked in `read_frame`
     /// while their in-flight responses still write.
@@ -332,6 +335,7 @@ impl Daemon {
                 deadline_hits: AtomicU64::new(0),
                 busy_rejections: AtomicU64::new(0),
                 store_write_failures: AtomicU64::new(0),
+                work: Mutex::new(SolveCounters::default()),
                 conns: Mutex::new(HashMap::new()),
                 next_conn: AtomicU64::new(0),
                 #[cfg(any(test, feature = "fault-injection"))]
@@ -407,6 +411,11 @@ impl Daemon {
 /// (now quarantined) request.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Adds a completed analysis's solver work to the daemon's lifetime totals.
+fn absorb_work(shared: &Shared, report: &ModeReport) {
+    lock(&shared.work).absorb(SolveCounters::total(&report.pass_stats));
 }
 
 /// Poison-tolerant session-map lock.
@@ -880,6 +889,9 @@ fn analyze_within(
     }
     let result = sta.analyze(mode);
     sta.executor().set_deadline(None);
+    if let Ok(report) = &result {
+        absorb_work(shared, report);
+    }
     result.map_err(|e| match e {
         StaError::DeadlineExceeded => {
             // The cancelled pass never committed: the mode cache was
@@ -1053,6 +1065,9 @@ fn cmd_what_if(shared: &Shared, request: &Json) -> Json {
     sta.executor().set_deadline(None);
     sta.restore(checkpoint);
     drop(guard);
+    if let Ok(report) = &result {
+        absorb_work(shared, report);
+    }
     let report = match result {
         Ok(r) => r,
         Err(StaError::DeadlineExceeded) => {
@@ -1212,17 +1227,18 @@ fn cmd_stats(shared: &Shared) -> Json {
         ("quarantined", Json::Arr(quarantined)),
         ("macromodel", {
             let m = xtalk_wave::macromodel::stats();
+            let work = *lock(&shared.work);
             let mut fields = vec![
                 ("models", Json::num(m.models as f64)),
                 ("usable", Json::num(m.usable as f64)),
-                ("table_hits", Json::num(m.table_hits as f64)),
-                ("table_fallbacks", Json::num(m.table_fallbacks as f64)),
+                ("table_hits", Json::num(work.table_hits as f64)),
+                ("table_fallbacks", Json::num(work.table_fallbacks as f64)),
                 ("char_solves", Json::num(m.char_solves as f64)),
             ];
             for reason in xtalk_wave::macromodel::FallbackReason::all() {
                 fields.push((
                     reason.label(),
-                    Json::num(m.fallback_reasons[reason as usize] as f64),
+                    Json::num(work.table_fb_reasons[reason as usize] as f64),
                 ));
             }
             Json::obj(fields)

@@ -241,24 +241,18 @@ pub struct ArcModel {
     cert_slew: f64,
 }
 
-/// Result of characterizing and certifying one arc, for telemetry.
+/// Process-global model-store statistics, for telemetry. Table hits and
+/// fallbacks are solver work, counted per analysis by the caller.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreStats {
     /// Models in the process-global store.
     pub models: usize,
     /// Models that passed bounded-error admission.
     pub usable: usize,
-    /// Lifetime table hits recorded via [`note_hit`].
-    pub table_hits: usize,
-    /// Lifetime in-model fallbacks recorded via [`note_fallback`].
-    pub table_fallbacks: usize,
     /// Lifetime characterization Newton solves performed by
     /// [`characterize_arc`] (grid sweep plus validation probes) — the cost
     /// the characterization store amortizes away.
     pub char_solves: usize,
-    /// Lifetime fallback counts by [`FallbackReason`], indexed by the
-    /// reason's discriminant.
-    pub fallback_reasons: [usize; FALLBACK_REASONS],
 }
 
 impl ArcModel {
@@ -1100,17 +1094,8 @@ fn store() -> &'static Store {
     STORE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-static TABLE_HITS: AtomicUsize = AtomicUsize::new(0);
-static TABLE_FALLBACKS: AtomicUsize = AtomicUsize::new(0);
 /// Newton solves spent characterizing arcs (sweep + validation probes).
 static CHAR_SOLVES: AtomicUsize = AtomicUsize::new(0);
-static FALLBACK_BY_REASON: [AtomicUsize; FALLBACK_REASONS] = [
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-];
 
 /// Fetches a model from the process-global store. Solve-time misses are
 /// fallbacks, never inline characterizations.
@@ -1163,24 +1148,6 @@ pub fn store_digest() -> u64 {
     h.finish()
 }
 
-/// Records one answered table lookup (process-lifetime counter).
-pub fn note_hit() {
-    TABLE_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one fallback from an available model to the Newton solver
-/// (out-of-grid query, unclassifiable shape, multi-active load...).
-pub fn note_fallback() {
-    TABLE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one classified fallback: bumps the lifetime fallback counter
-/// *and* the per-reason histogram bucket.
-pub fn note_fallback_reason(reason: FallbackReason) {
-    TABLE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-    FALLBACK_BY_REASON[reason as usize].fetch_add(1, Ordering::Relaxed);
-}
-
 /// Lifetime count of characterization Newton solves — zero deltas across
 /// a store-warm analyzer build are the gate that the on-disk
 /// characterization store actually amortized the sweep.
@@ -1191,22 +1158,15 @@ pub fn char_solves() -> usize {
 /// Process-lifetime store statistics, for the CLI and the serve daemon.
 pub fn stats() -> StoreStats {
     let guard = store().read().unwrap_or_else(|e| e.into_inner());
-    let mut fallback_reasons = [0usize; FALLBACK_REASONS];
-    for (slot, counter) in fallback_reasons.iter_mut().zip(&FALLBACK_BY_REASON) {
-        *slot = counter.load(Ordering::Relaxed);
-    }
     StoreStats {
         models: guard.len(),
         usable: guard.values().filter(|m| m.usable).count(),
-        table_hits: TABLE_HITS.load(Ordering::Relaxed),
-        table_fallbacks: TABLE_FALLBACKS.load(Ordering::Relaxed),
         char_solves: CHAR_SOLVES.load(Ordering::Relaxed),
-        fallback_reasons,
     }
 }
 
 /// Empties the store (test hygiene for custom libraries that rebind cell
-/// names). Lifetime hit counters keep accumulating.
+/// names). The lifetime characterization-solve count keeps accumulating.
 pub fn clear_store() {
     let mut guard = store().write().unwrap_or_else(|e| e.into_inner());
     guard.clear();

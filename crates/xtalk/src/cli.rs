@@ -863,8 +863,8 @@ fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
         report.longest_delay * 1e9,
         (report.longest_delay - baseline.longest_delay) * 1e9,
         stats.stages_evaluated,
-        eco.graph().stages.len() * stats.passes,
-        stats.stage_solves,
+        eco.graph().stages.len() * report.passes,
+        report.stage_solves,
         report.runtime.as_secs_f64()
     );
     let cache = eco.cache_stats();
@@ -913,21 +913,10 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let store = flag(&flags, "store")
         .flatten()
         .map(std::path::PathBuf::from);
-    // --request-timeout MS wins over XTALK_SERVE_TIMEOUT; absent both,
-    // requests are unbounded.
-    let timeout_ms = match flag(&flags, "request-timeout") {
-        Some(v) => Some(
-            v.and_then(|t| t.parse::<u64>().ok())
-                .ok_or_else(|| err("--request-timeout expects milliseconds"))?,
-        ),
-        None => match std::env::var("XTALK_SERVE_TIMEOUT") {
-            Ok(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| err("XTALK_SERVE_TIMEOUT expects milliseconds"))?,
-            ),
-            Err(_) => None,
-        },
-    };
+    let timeout_ms = request_timeout_ms(
+        flag(&flags, "request-timeout"),
+        std::env::var("XTALK_SERVE_TIMEOUT").ok(),
+    )?;
     let store_sync = match flag(&flags, "store-sync") {
         Some(v) => v
             .and_then(SyncPolicy::parse)
@@ -972,6 +961,32 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         "served {} requests, {} sessions resident at shutdown\n",
         summary.requests, summary.sessions
     ))
+}
+
+/// The daemon's request timeout in milliseconds: `--request-timeout`
+/// (`flag`) wins over `XTALK_SERVE_TIMEOUT` (`env`); absent both, requests
+/// are unbounded. A malformed variable is a configuration error (exit 2),
+/// like every other `XTALK_*` override.
+fn request_timeout_ms(
+    flag: Option<Option<&str>>,
+    env: Option<String>,
+) -> Result<Option<u64>, CliError> {
+    match (flag, env) {
+        (Some(v), _) => Ok(Some(
+            v.and_then(|t| t.parse::<u64>().ok())
+                .ok_or_else(|| err("--request-timeout expects milliseconds"))?,
+        )),
+        (None, Some(v)) => match v.parse::<u64>() {
+            Ok(ms) => Ok(Some(ms)),
+            Err(_) => Err(xtalk_sta::ConfigError::InvalidEnv {
+                var: "XTALK_SERVE_TIMEOUT",
+                value: v,
+                expected: "a millisecond count",
+            }
+            .into()),
+        },
+        (None, None) => Ok(None),
+    }
 }
 
 /// The worst severity a client action's response reported, mapped back
@@ -1336,6 +1351,26 @@ mod tests {
         // An empty list is rejected rather than silently running nothing.
         let e = run(&argv(&["report", &bench, "--corners", ""])).unwrap_err();
         assert_eq!(e.code, 2, "empty corner list is a config error: {e}");
+    }
+
+    #[test]
+    fn malformed_serve_timeout_is_a_config_error_with_exit_2() {
+        let e = request_timeout_ms(None, Some("soon".into())).unwrap_err();
+        assert_eq!(e.code, 2, "config errors exit 2: {e}");
+        assert!(
+            e.to_string().contains("XTALK_SERVE_TIMEOUT") && e.to_string().contains("soon"),
+            "typed message names the variable and the bad value: {e}"
+        );
+        assert_eq!(
+            request_timeout_ms(None, Some("250".into())).ok(),
+            Some(Some(250))
+        );
+        // The flag wins over the variable, malformed or not.
+        assert_eq!(
+            request_timeout_ms(Some(Some("40")), Some("soon".into())).ok(),
+            Some(Some(40))
+        );
+        assert_eq!(request_timeout_ms(None, None).ok(), Some(None));
     }
 
     #[test]

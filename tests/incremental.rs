@@ -4,9 +4,9 @@
 //!
 //! This is the subsystem's acceptance gate. The incremental engine caches
 //! per-pass node arrivals and re-evaluates only the coupling-aware dirty
-//! cone, with exact (bit-level) early termination at the default epsilon;
-//! therefore every report it produces must match what `Sta::analyze` on the
-//! post-edit design computes, bit for bit.
+//! cone, with exact (bit-level) early termination; therefore every report
+//! it produces must match what `Sta::analyze` on the post-edit design
+//! computes, bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -88,7 +88,8 @@ proptest! {
 
     /// A parallel wavefront run is bit-identical to the serial engine in
     /// every analysis mode: same delay bits, same pass trajectory, same
-    /// critical endpoint.
+    /// critical endpoint. With the reuse caches off (so no hit depends on
+    /// task order) it also accounts the same solver work in every pass.
     #[test]
     fn parallel_matches_serial_bitwise(seed in 0u64..1000, gates in 24usize..56, depth in 3usize..6) {
         let process = Process::c05um();
@@ -98,28 +99,36 @@ proptest! {
         let placement = xtalk::layout::place::place(&netlist, &library, &process);
         let routes = xtalk::layout::route::route(&netlist, &placement, &process);
         let parasitics = xtalk::layout::extract::extract(&netlist, &routes, &process);
-        let serial = Sta::with_config(&netlist, &library, &process, &parasitics,
-            ExecConfig::serial()).expect("sta");
-        // cutoff 0 forces the wavefront scheduler even on tiny circuits.
-        let par = Sta::with_config(&netlist, &library, &process, &parasitics,
-            ExecConfig::serial().with_threads(4).with_serial_cutoff(0)).expect("sta");
-        for mode in [
-            AnalysisMode::BestCase,
-            AnalysisMode::StaticDoubled,
-            AnalysisMode::WorstCase,
-            AnalysisMode::OneStep,
-            AnalysisMode::Iterative { esperance: false },
-            AnalysisMode::Iterative { esperance: true },
-            AnalysisMode::MinDelay,
-        ] {
-            let a = serial.analyze(mode).expect("serial");
-            let b = par.analyze(mode).expect("parallel");
-            prop_assert_eq!(a.longest_delay.to_bits(), b.longest_delay.to_bits(),
-                "{mode}: serial {} vs parallel {}", a.longest_delay, b.longest_delay);
-            prop_assert_eq!(a.endpoint_net, b.endpoint_net);
-            prop_assert_eq!(a.pass_delays.len(), b.pass_delays.len());
-            for (x, y) in a.pass_delays.iter().zip(&b.pass_delays) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
+        for cache in [true, false] {
+            let serial = Sta::with_config(&netlist, &library, &process, &parasitics,
+                ExecConfig::serial().with_cache(cache)).expect("sta");
+            // cutoff 0 forces the wavefront scheduler even on tiny circuits.
+            let par = Sta::with_config(&netlist, &library, &process, &parasitics,
+                ExecConfig::serial().with_cache(cache).with_threads(4).with_serial_cutoff(0))
+                .expect("sta");
+            for mode in [
+                AnalysisMode::BestCase,
+                AnalysisMode::StaticDoubled,
+                AnalysisMode::WorstCase,
+                AnalysisMode::OneStep,
+                AnalysisMode::Iterative { esperance: false },
+                AnalysisMode::Iterative { esperance: true },
+                AnalysisMode::MinDelay,
+            ] {
+                let a = serial.analyze(mode).expect("serial");
+                let b = par.analyze(mode).expect("parallel");
+                prop_assert_eq!(a.longest_delay.to_bits(), b.longest_delay.to_bits(),
+                    "{mode}: serial {} vs parallel {}", a.longest_delay, b.longest_delay);
+                prop_assert_eq!(a.endpoint_net, b.endpoint_net);
+                prop_assert_eq!(a.pass_delays.len(), b.pass_delays.len());
+                for (x, y) in a.pass_delays.iter().zip(&b.pass_delays) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+                if !cache {
+                    for (i, (x, y)) in a.pass_stats.iter().zip(&b.pass_stats).enumerate() {
+                        prop_assert_eq!(x.work, y.work, "{} pass {}", mode, i + 1);
+                    }
+                }
             }
         }
     }
