@@ -16,6 +16,13 @@
 //! full transistor-level Newton iteration, so the output must stay
 //! bit-identical to the pre-macromodel engine — serial and threaded alike.
 //!
+//! The default fast path has its own snapshot,
+//! `tests/golden/fastpath_small_97.txt`: the same design under the default
+//! configuration, over the five max-delay modes the characterized tables
+//! serve, serial and threaded. It pins the table answers themselves, so a
+//! change to *which* arcs get characterized, or *when*, cannot move a bit
+//! without failing here.
+//!
 //! Regenerate (only when an *intentional* numerical change lands) with:
 //!
 //! ```text
@@ -42,8 +49,19 @@ const MODES: [AnalysisMode; 7] = [
     AnalysisMode::MinDelay,
 ];
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/modes_small_97.txt")
+/// The max-delay analyses the fast path's characterized tables serve.
+const FAST_MODES: [AnalysisMode; 5] = [
+    AnalysisMode::BestCase,
+    AnalysisMode::StaticDoubled,
+    AnalysisMode::WorstCase,
+    AnalysisMode::OneStep,
+    AnalysisMode::Iterative { esperance: false },
+];
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name)
 }
 
 /// Hex bit pattern of an `f64` (or `-` for an absent arrival).
@@ -54,7 +72,9 @@ fn bits(v: Option<f64>) -> String {
     }
 }
 
-fn snapshot(config: ExecConfig) -> String {
+/// The snapshot text of `modes` under `config`, and the table hits the
+/// analyses made.
+fn snapshot(config: ExecConfig, modes: &[AnalysisMode]) -> (String, usize) {
     let process = Process::c05um();
     let library = Library::c05um(&process);
     let netlist = xtalk::netlist::generator::generate(&GeneratorConfig::small(97), &library)
@@ -72,8 +92,10 @@ fn snapshot(config: ExecConfig) -> String {
         netlist.net_count(),
         PERIOD * 1e9
     );
-    for mode in MODES {
+    let mut table_hits = 0;
+    for &mode in modes {
         let r = sta.analyze(mode).expect("analysis");
+        table_hits += r.table_hits;
         assert!(
             r.diagnostics.is_empty(),
             "golden run must be clean, got {:?}",
@@ -119,7 +141,7 @@ fn snapshot(config: ExecConfig) -> String {
             );
         }
     }
-    out
+    (out, table_hits)
 }
 
 /// Fails with the first diverging line rather than one giant string diff.
@@ -138,31 +160,59 @@ fn assert_matches_golden(golden: &str, current: &str, label: &str) {
     panic!("[{label}] golden snapshot diverged");
 }
 
-#[test]
-fn mode_reports_match_golden_snapshot() {
-    let serial = snapshot(ExecConfig::serial().with_signoff(true));
-    let path = golden_path();
+/// The committed snapshot `name`, or `None` after blessing it with
+/// `current` (`XTALK_BLESS=1`).
+fn golden(name: &str, current: &str) -> Option<String> {
+    let path = golden_path(name);
     if std::env::var("XTALK_BLESS").as_deref() == Ok("1") {
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        std::fs::write(&path, &serial).expect("write golden");
+        std::fs::write(&path, current).expect("write golden");
         eprintln!("blessed {}", path.display());
-        return;
+        return None;
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run with XTALK_BLESS=1",
             path.display()
         )
-    });
+    }))
+}
+
+#[test]
+fn mode_reports_match_golden_snapshot() {
+    let (serial, _) = snapshot(ExecConfig::serial().with_signoff(true), &MODES);
+    let Some(golden) = golden("modes_small_97.txt", &serial) else {
+        return;
+    };
     assert_matches_golden(&golden, &serial, "signoff serial");
 
     // Threaded signoff must reproduce the same bits: the wavefront schedule
     // changes the order stage solves land in, never their values.
-    let threaded = snapshot(
+    let (threaded, _) = snapshot(
         ExecConfig::serial()
             .with_signoff(true)
             .with_threads(4)
             .with_serial_cutoff(0),
+        &MODES,
     );
     assert_matches_golden(&golden, &threaded, "signoff threaded");
+}
+
+#[test]
+fn fast_path_reports_match_golden_snapshot() {
+    let (serial, table_hits) = snapshot(ExecConfig::serial(), &FAST_MODES);
+    assert!(
+        table_hits > 0,
+        "the tables never answered; the fast-path snapshot pins nothing"
+    );
+    let Some(golden) = golden("fastpath_small_97.txt", &serial) else {
+        return;
+    };
+    assert_matches_golden(&golden, &serial, "fast path serial");
+
+    let (threaded, _) = snapshot(
+        ExecConfig::serial().with_threads(4).with_serial_cutoff(0),
+        &FAST_MODES,
+    );
+    assert_matches_golden(&golden, &threaded, "fast path threaded");
 }
