@@ -72,8 +72,8 @@ fn bench_sta_modes(c: &mut Criterion) {
 
     if !one_shot {
         // Built here rather than above: at one-shot scale this analyzer is
-        // never used, and constructing it would run the full macromodel
-        // prewarm characterization — minutes of Newton work whose heap
+        // never used, and constructing it would characterize the design's
+        // macromodel arcs — minutes of Newton work whose heap
         // churn would precede (and perturb) the timed exec-layer rows.
         let sta = Sta::new(&d.netlist, &d.library, &d.process, &d.parasitics).expect("sta");
         let mut group = c.benchmark_group("sta_modes");

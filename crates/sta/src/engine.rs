@@ -163,15 +163,12 @@ impl<'a> Sta<'a> {
         parasitics: &'a Parasitics,
         config: ExecConfig,
     ) -> Result<Self, StaError> {
-        let graph = TimingGraph::build(netlist, library, process, parasitics)?;
-        // Characterize the macromodel tables up front (a no-op when the
-        // process-global store already holds this library): build time, not
-        // solve time, so the fast path never blocks a pass mid-flight. The
-        // executor replays the on-disk characterization store first and
-        // sweeps the remainder on its worker pool (`--characterize` picks
-        // prewarm or lazy; signoff skips tables entirely).
+        let mut graph = TimingGraph::build(netlist, library, process, parasitics)?;
+        // Bind the design's macromodels up front (characterizing only the
+        // arcs neither memory nor the on-disk store holds): build time,
+        // not solve time, so the fast path never blocks a pass mid-flight.
         let exec = Executor::new(config);
-        exec.prewarm_tables(process, library);
+        exec.bind_models(process, library, &mut graph);
         Ok(Sta {
             netlist,
             library,

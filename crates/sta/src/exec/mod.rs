@@ -12,15 +12,19 @@
 //!   letting refinement passes and repeated modes skip Newton integration
 //!   when the inputs are bit-identical.
 //!
+//! The executor also binds each timing graph's arcs to their
+//! characterized macromodels before analysis (DESIGN.md D15): it
+//! characterizes exactly the design's missing arcs, on the same worker
+//! pool, so no pass ever looks a model up.
+//!
 //! [`ExecConfig`] is the user-facing knob set: thread count
 //! (`--threads` / `XTALK_THREADS`; 1 preserves the fully serial path),
 //! the small-batch serial cutoff, the cache switch/capacity
 //! (`XTALK_CACHE`, `XTALK_CACHE_CAPACITY`), fail-fast mode (`--strict` /
 //! `XTALK_STRICT`), signoff mode (`--signoff` / `XTALK_SIGNOFF`), the PVT
-//! corner list (`--corners` / `XTALK_CORNERS`), the characterization
-//! schedule (`--characterize` / `XTALK_CHARACTERIZE`) and the
-//! characterization store path (`--char-store` / `XTALK_CHAR_STORE`).
-//! Malformed environment values are a typed [`ConfigError`].
+//! corner list (`--corners` / `XTALK_CORNERS`) and the characterization
+//! store path (`--char-store` / `XTALK_CHAR_STORE`). Malformed
+//! environment values are a typed [`ConfigError`].
 
 pub(crate) mod cache;
 pub(crate) mod memo;
@@ -29,57 +33,16 @@ pub(crate) mod wavefront;
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use xtalk_tech::{Corner, Library, Process};
-use xtalk_wave::macromodel;
+use xtalk_wave::macromodel::{self, PrewarmItem};
+
+use crate::graph::TimingGraph;
 
 pub use cache::CacheStats;
-
-/// When the analyzer characterizes macromodel tables.
-///
-/// Characterization is a deterministic pure function of `(process, arc)`
-/// and the model store insert is first-wins, so the mode changes *when*
-/// tables get built, never their bits: prewarm, lazy and store-warm paths
-/// all serve identical tables (gated by tests and the `--signoff`
-/// snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CharacterizeMode {
-    /// Sweep the full arc library at analyzer build (the default). With a
-    /// worker pool configured, arcs characterize in parallel.
-    #[default]
-    Prewarm,
-    /// Characterize an arc's grid on its first in-admission table miss,
-    /// so workloads touching small cones (ECO sweeps, serve sessions)
-    /// never pay for the full library.
-    Lazy,
-}
-
-impl CharacterizeMode {
-    /// Parses a `--characterize` / `XTALK_CHARACTERIZE` value.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] naming the rejected value.
-    pub fn parse(var: &'static str, value: &str) -> Result<Self, ConfigError> {
-        match value {
-            "prewarm" => Ok(CharacterizeMode::Prewarm),
-            "lazy" => Ok(CharacterizeMode::Lazy),
-            other => Err(env_err(var, other, "`prewarm` or `lazy`")),
-        }
-    }
-}
-
-impl fmt::Display for CharacterizeMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CharacterizeMode::Prewarm => write!(f, "prewarm"),
-            CharacterizeMode::Lazy => write!(f, "lazy"),
-        }
-    }
-}
 
 /// The process-wide time origin the deadline token counts from. `Instant`
 /// cannot be stored in an atomic directly, so deadlines travel as
@@ -175,10 +138,6 @@ pub struct ExecConfig {
     /// `XTALK_CORNERS`). `None` analyzes the single base process — the
     /// pre-scenario behaviour, bit for bit.
     pub corners: Option<Vec<Corner>>,
-    /// When macromodel tables get characterized (`--characterize` /
-    /// `XTALK_CHARACTERIZE`): full-library prewarm at build, or lazily on
-    /// first in-admission miss.
-    pub characterize: CharacterizeMode,
     /// Path of the on-disk characterization store (`--char-store` /
     /// `XTALK_CHAR_STORE`). `None` characterizes fresh every process —
     /// the pre-store behaviour, bit for bit.
@@ -197,7 +156,6 @@ impl Default for ExecConfig {
             strict: false,
             signoff: false,
             corners: None,
-            characterize: CharacterizeMode::default(),
             char_store: None,
         }
     }
@@ -209,9 +167,8 @@ impl ExecConfig {
     /// `XTALK_CACHE` (on/off switch for the stage-solve cache),
     /// `XTALK_CACHE_CAPACITY` (entry count), `XTALK_STRICT` (on/off
     /// switch), `XTALK_SIGNOFF` (on/off switch for the bit-exact
-    /// full-solver mode), `XTALK_CORNERS` (comma-separated corner list),
-    /// `XTALK_CHARACTERIZE` (`prewarm` | `lazy`) and `XTALK_CHAR_STORE`
-    /// (store path; empty = none).
+    /// full-solver mode), `XTALK_CORNERS` (comma-separated corner list)
+    /// and `XTALK_CHAR_STORE` (store path; empty = none).
     ///
     /// # Errors
     ///
@@ -265,9 +222,6 @@ impl ExecConfig {
         }
         if let Some(corners) = get("XTALK_CORNERS") {
             config.corners = Some(parse_corners("XTALK_CORNERS", &corners)?);
-        }
-        if let Some(mode) = get("XTALK_CHARACTERIZE") {
-            config.characterize = CharacterizeMode::parse("XTALK_CHARACTERIZE", mode.trim())?;
         }
         if let Some(path) = get("XTALK_CHAR_STORE") {
             let path = path.trim();
@@ -329,13 +283,6 @@ impl ExecConfig {
         self
     }
 
-    /// Overrides the characterization mode.
-    #[must_use]
-    pub fn with_characterize(mut self, mode: CharacterizeMode) -> Self {
-        self.characterize = mode;
-        self
-    }
-
     /// Sets (or clears) the on-disk characterization store path.
     #[must_use]
     pub fn with_char_store(mut self, path: Option<PathBuf>) -> Self {
@@ -359,6 +306,17 @@ pub fn parse_corners(var: &'static str, spec: &str) -> Result<Vec<Corner>, Confi
             "a comma-separated list of distinct corner names from {ss, tt, ff}",
         )
     })
+}
+
+/// A contained fault of the characterization store at `path`.
+fn store_fault(path: &std::path::Path, detail: String) -> crate::diag::Diagnostic {
+    crate::diag::Diagnostic {
+        severity: crate::diag::Severity::Warning,
+        node: path.display().to_string(),
+        fault: crate::diag::FaultClass::CacheCorruption,
+        substituted_bound: None,
+        detail,
+    }
 }
 
 /// The per-analyzer execution state: the lazily built worker pool, the
@@ -386,6 +344,9 @@ pub(crate) struct Executor {
     /// and openable. `None` degrades to characterize-fresh (a store
     /// failure can cost solves, never correctness).
     char_store: Option<Arc<crate::charstore::CharStore>>,
+    /// Completes when the characterization store has been replayed: at
+    /// most once per executor, and only when a binding misses a model.
+    char_replayed: std::sync::Once,
     #[cfg(any(test, feature = "fault-injection"))]
     fault_plan: std::sync::Mutex<Option<crate::fault::FaultPlan>>,
 }
@@ -394,7 +355,7 @@ impl Executor {
     pub(crate) fn new(config: ExecConfig) -> Self {
         let cache = cache::SolveCache::new(config.cache, config.cache_capacity);
         let memo = memo::ArcMemo::new(config.cache);
-        let mut store_fault = None;
+        let mut unavailable = None;
         let char_store =
             config
                 .char_store
@@ -402,15 +363,12 @@ impl Executor {
                 .and_then(|path| match crate::charstore::open_shared(path) {
                     Ok(store) => Some(store),
                     Err(e) => {
-                        store_fault = Some(crate::diag::Diagnostic {
-                            severity: crate::diag::Severity::Warning,
-                            node: path.display().to_string(),
-                            fault: crate::diag::FaultClass::CacheCorruption,
-                            substituted_bound: None,
-                            detail: format!(
+                        unavailable = Some(store_fault(
+                            path,
+                            format!(
                                 "characterization store unavailable ({e}); characterizing fresh"
                             ),
-                        });
+                        ));
                         None
                     }
                 });
@@ -420,101 +378,98 @@ impl Executor {
             cache,
             memo,
             diagnostics: std::sync::Mutex::new(Vec::new()),
-            sticky_diagnostics: std::sync::Mutex::new(store_fault.into_iter().collect()),
+            sticky_diagnostics: std::sync::Mutex::new(unavailable.into_iter().collect()),
             deadline: AtomicU64::new(0),
             char_store,
+            char_replayed: std::sync::Once::new(),
             #[cfg(any(test, feature = "fault-injection"))]
             fault_plan: std::sync::Mutex::new(None),
         }
     }
 
-    /// The shared characterization-store handle, if one is open.
-    pub(crate) fn char_store(&self) -> Option<&Arc<crate::charstore::CharStore>> {
-        self.char_store.as_ref()
-    }
-
-    /// Builds the macromodel tables this configuration wants ready before
-    /// analysis: replays the on-disk characterization store (every mode
-    /// except signoff — lazy builds also want disk-warm tables), then in
-    /// prewarm mode characterizes whatever the store did not cover — on
-    /// the worker pool when one is configured — and appends the fresh
-    /// models back to the store.
+    /// Binds the models of `graph`'s unbound cell stages (DESIGN.md D15),
+    /// so the kernel reads each arc's model instead of looking it up.
+    /// Models missing from the process-global store come from the on-disk
+    /// characterization store, and whatever that lacks is characterized
+    /// on the worker pool, each arc once, in graph order, then appended to
+    /// the store. Signoff binds nothing: it never reads a table.
     ///
-    /// Every path is bit-identical: characterization is a deterministic
-    /// pure function of `(process, arc)` and the model-store insert is
-    /// first-wins, so replay order and worker interleaving can change
+    /// Every path gives the same bits: characterization is a
+    /// deterministic pure function of `(process, arc)` and the model-store
+    /// insert is first-wins, so replay and worker interleaving change
     /// *when* a table exists, never its contents.
-    pub(crate) fn prewarm_tables(&self, process: &Process, library: &Library) {
+    pub(crate) fn bind_models(
+        &self,
+        process: &Process,
+        library: &Library,
+        graph: &mut TimingGraph,
+    ) {
         if self.config.signoff {
             return;
         }
-        if let Some(store) = &self.char_store {
-            if let Err(e) = store.load() {
-                self.push_sticky_diagnostic(crate::diag::Diagnostic {
-                    severity: crate::diag::Severity::Warning,
-                    node: store.path().display().to_string(),
-                    fault: crate::diag::FaultClass::CacheCorruption,
-                    substituted_bound: None,
-                    detail: format!(
-                        "characterization store replay failed ({e}); characterizing fresh"
-                    ),
-                });
-            }
-        }
-        if self.config.characterize != CharacterizeMode::Prewarm {
-            return;
-        }
-        let work = macromodel::prewarm_work(process, library);
-        if work.is_empty() {
-            return;
-        }
-        match self.pool_for(work.len()) {
-            None => {
-                for item in &work {
-                    macromodel::ensure_model(
-                        item.key,
-                        process,
-                        item.stage,
-                        item.slot,
-                        &item.side,
-                        item.out_rising,
-                    );
-                }
-            }
-            Some(pool) => {
-                let next = AtomicUsize::new(0);
-                pool.run(&|_worker| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = work.get(i) else {
-                        break;
-                    };
-                    macromodel::ensure_model(
-                        item.key,
-                        process,
-                        item.stage,
-                        item.slot,
-                        &item.side,
-                        item.out_rising,
-                    );
-                });
-            }
-        }
-        if let Some(store) = &self.char_store {
-            let fresh: Vec<(u64, Vec<u8>)> = work
-                .iter()
-                .filter_map(|item| {
-                    macromodel::model_for(item.key).map(|m| (item.key, m.to_bytes()))
+        let mut work: Vec<PrewarmItem<'_>> = graph
+            .unbound_arcs()
+            .filter_map(|(cs, slot, out_rising, arc)| {
+                let key = arc
+                    .key
+                    .filter(|&key| macromodel::model_for(key).is_none())?;
+                Some(PrewarmItem {
+                    key,
+                    stage: library.cell(&cs.cell)?.stages.get(cs.stage)?,
+                    slot,
+                    side: arc.side.clone()?,
+                    out_rising,
                 })
-                .collect();
-            if let Err(e) = store.append_models(&fresh) {
-                self.push_sticky_diagnostic(crate::diag::Diagnostic {
-                    severity: crate::diag::Severity::Warning,
-                    node: store.path().display().to_string(),
-                    fault: crate::diag::FaultClass::CacheCorruption,
-                    substituted_bound: None,
-                    detail: format!("characterization store append failed ({e})"),
-                });
+            })
+            .collect();
+        if !work.is_empty() {
+            self.replay_char_store();
+            work.retain(|item| macromodel::model_for(item.key).is_none());
+        }
+        if !work.is_empty() {
+            macromodel::characterize_work(process, &work, |sweep| {
+                match self.pool_for(work.len()) {
+                    None => sweep(0),
+                    Some(pool) => pool.run(sweep),
+                }
+            });
+            self.append_models(&work);
+        }
+        graph.bind(macromodel::model_for);
+    }
+
+    /// Replays the characterization store into the process-global model
+    /// store unless this executor already did: after one replay, the
+    /// store holds nothing the executor's own appends did not put in
+    /// memory too.
+    fn replay_char_store(&self) {
+        let Some(store) = &self.char_store else {
+            return;
+        };
+        self.char_replayed.call_once(|| {
+            if let Err(e) = store.load() {
+                self.push_sticky_diagnostic(store_fault(
+                    store.path(),
+                    format!("characterization store replay failed ({e}); characterizing fresh"),
+                ));
             }
+        });
+    }
+
+    /// Appends the freshly characterized models of `work` to the store.
+    fn append_models(&self, work: &[PrewarmItem<'_>]) {
+        let Some(store) = &self.char_store else {
+            return;
+        };
+        let fresh: Vec<(u64, Vec<u8>)> = work
+            .iter()
+            .filter_map(|item| macromodel::model_for(item.key).map(|m| (item.key, m.to_bytes())))
+            .collect();
+        if let Err(e) = store.append_models(&fresh) {
+            self.push_sticky_diagnostic(store_fault(
+                store.path(),
+                format!("characterization store append failed ({e})"),
+            ));
         }
     }
 
@@ -761,16 +716,6 @@ mod tests {
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "maybe")])).is_err());
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_STRICT", "2")])).is_err());
         assert!(ExecConfig::from_lookup(lookup(&[("XTALK_SIGNOFF", "sorta")])).is_err());
-        // `prewarm` and `lazy` are the only characterization schedules.
-        for bad in ["off", "eager"] {
-            let e = ExecConfig::from_lookup(lookup(&[("XTALK_CHARACTERIZE", bad)]))
-                .expect_err("unknown schedule must be rejected");
-            let ConfigError::InvalidEnv { var, value, .. } = &e;
-            assert_eq!((*var, value.as_str()), ("XTALK_CHARACTERIZE", bad));
-        }
-        let lazy =
-            ExecConfig::from_lookup(lookup(&[("XTALK_CHARACTERIZE", "lazy")])).expect("lazy");
-        assert_eq!(lazy.characterize, CharacterizeMode::Lazy);
         let on = ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "yes")])).expect("switch");
         assert!(on.cache);
     }

@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 use xtalk_layout::Parasitics;
 use xtalk_netlist::{GateId, NetId, Netlist, NetlistError};
-use xtalk_tech::cell::{Stage, StageSignal};
+use xtalk_tech::cell::{Cell, Stage, StageSignal};
 use xtalk_tech::{Library, Process};
+use xtalk_wave::macromodel::{self, ArcModel};
 use xtalk_wave::sensitize;
 
 /// Identifier of a timing node.
@@ -138,10 +139,69 @@ pub struct FanoutArc {
     pub slot: u32,
 }
 
-/// Sensitizing side values of one library stage per
-/// `[slot][output-rising as usize]`; `None` marks a non-sensitizable arc.
-/// Every instance of a cell stage shares one table.
-pub type SideTable = Arc<[[Option<Vec<f64>>; 2]]>;
+/// One timing arc of a library cell stage: an input slot switching the
+/// stage output in one direction.
+#[derive(Debug, Clone)]
+pub struct StageArc {
+    /// Side values of the *slowest* sensitizing assignment (max-delay
+    /// analysis); `None` marks a non-sensitizable arc.
+    pub side: Option<Vec<f64>>,
+    /// Side values of the *fastest* sensitizing assignment (min-delay /
+    /// hold analysis).
+    pub side_fast: Option<Vec<f64>>,
+    /// The arc's characterization key ([`macromodel::arc_key`]) when the
+    /// fast path may serve it: a combinational cell, a non-launch slot and
+    /// a sensitizable max-delay side.
+    pub key: Option<u64>,
+    /// The arc's usable characterized model, attached when the analyzer
+    /// binds the graph (DESIGN.md D15). `None` before binding, in signoff
+    /// mode, and when the model failed bounded-error admission.
+    pub model: Option<Arc<ArcModel>>,
+}
+
+/// The timing arcs of one library cell stage. Derived once per graph
+/// build and shared by every instance of the stage.
+#[derive(Debug, Clone)]
+pub struct CellStage {
+    /// The library cell's name.
+    pub cell: String,
+    /// Stage index within the cell.
+    pub stage: usize,
+    /// The arcs, `[slot][output rising as usize]`.
+    pub arcs: Vec<[StageArc; 2]>,
+    /// Whether binding has attached the arcs' models.
+    bound: bool,
+}
+
+impl CellStage {
+    fn derive(process: &Process, cell: &Cell, index: usize, stage: &Stage) -> CellStage {
+        let vdd = process.vdd;
+        let arcs = (0..stage.inputs.len())
+            .map(|slot| {
+                let characterizable =
+                    !cell.is_sequential() && !matches!(stage.inputs[slot], StageSignal::Launch);
+                [false, true].map(|rising| {
+                    let side = sensitize::side_values(stage, slot, rising, vdd);
+                    let key = side.as_deref().filter(|_| characterizable).map(|side| {
+                        macromodel::arc_key(process, &cell.name, index, slot, rising, side)
+                    });
+                    StageArc {
+                        side,
+                        side_fast: sensitize::side_values_with(stage, slot, rising, vdd, true),
+                        key,
+                        model: None,
+                    }
+                })
+            })
+            .collect();
+        CellStage {
+            cell: cell.name.clone(),
+            stage: index,
+            arcs,
+            bound: false,
+        }
+    }
+}
 
 /// One stage instance of the expanded graph.
 ///
@@ -163,12 +223,9 @@ pub struct StageInst {
     /// Fixed grounded load on the output (diffusion + wire + pins or
     /// internal gate caps), farads.
     pub cground: f64,
-    /// Sensitizing side values, chosen for the *slowest* sensitizing
-    /// assignment (max-delay analysis).
-    pub sides: SideTable,
-    /// Like `sides` but for the *fastest* sensitizing assignment
-    /// (min-delay / hold analysis).
-    pub sides_fast: SideTable,
+    /// Index of the instance's library cell stage, in
+    /// [`TimingGraph::cell_stages`] order.
+    pub cell_stage: u32,
 }
 
 /// The expanded timing graph.
@@ -203,10 +260,15 @@ pub struct TimingGraph {
     /// `node_calc_level <= L` — the engine's static "calculated" rule (see
     /// [`TimingGraph::calculated_at`]).
     pub node_calc_level: Vec<u32>,
+    /// The library cell stages the design instantiates, in first-use
+    /// order. A graph rebuilt from this one after an edit keeps them,
+    /// with their bindings, and appends the stages of cells new to it.
+    cell_stages: Vec<Arc<CellStage>>,
 }
 
 impl TimingGraph {
     /// Expands `netlist` against `library` into a stage-level timing graph.
+    /// Its arcs are unbound: analyzers bind their models (DESIGN.md D15).
     ///
     /// # Errors
     ///
@@ -218,7 +280,40 @@ impl TimingGraph {
         process: &Process,
         parasitics: &Parasitics,
     ) -> Result<Self, NetlistError> {
-        let vdd = process.vdd;
+        Self::expand(netlist, library, process, parasitics, Vec::new())
+    }
+
+    /// [`build`](Self::build) for an edited revision of the design `prev`
+    /// was built from (same library and process): the cell stages `prev`
+    /// derived, and their bindings, carry over, so only cells new to the
+    /// design derive arcs and need binding.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build).
+    pub(crate) fn rebuild(
+        netlist: &Netlist,
+        library: &Library,
+        process: &Process,
+        parasitics: &Parasitics,
+        prev: &TimingGraph,
+    ) -> Result<Self, NetlistError> {
+        Self::expand(
+            netlist,
+            library,
+            process,
+            parasitics,
+            prev.cell_stages.clone(),
+        )
+    }
+
+    fn expand(
+        netlist: &Netlist,
+        library: &Library,
+        process: &Process,
+        parasitics: &Parasitics,
+        mut cell_stages: Vec<Arc<CellStage>>,
+    ) -> Result<Self, NetlistError> {
         let mut nodes: Vec<TNode> = Vec::new();
         let mut net_node = Vec::with_capacity(netlist.net_count());
 
@@ -257,17 +352,28 @@ impl TimingGraph {
 
         let mut stages: Vec<StageInst> = Vec::new();
         let mut coupling_rows: Vec<Vec<(NetId, f64)>> = Vec::new();
-        // Side values are a pure function of the library stage, so each
-        // cell derives its stages' tables once and its instances share them.
-        let mut cell_sides: HashMap<&str, Vec<(SideTable, SideTable)>> = HashMap::new();
+        // Arcs are a pure function of the library stage, so each cell
+        // derives its stages once (or inherits them from `prev`) and its
+        // instances share them: `first_stage` maps a cell to the index of
+        // its stage 0, its other stages following in order.
+        let mut first_stage: HashMap<&str, u32> = HashMap::new();
+        for (i, cs) in cell_stages.iter().enumerate() {
+            if let (0, Some(cell)) = (cs.stage, library.cell(&cs.cell)) {
+                first_stage.insert(cell.name.as_str(), i as u32);
+            }
+        }
         for (gi, gate) in netlist.gates().iter().enumerate() {
             let gate_id = GateId(gi as u32);
             let cell = library.cell(&gate.cell).expect("checked above");
-            let sides_of = cell_sides.entry(cell.name.as_str()).or_insert_with(|| {
-                cell.stages
-                    .iter()
-                    .map(|stage| (side_table(stage, vdd, false), side_table(stage, vdd, true)))
-                    .collect()
+            let first = *first_stage.entry(cell.name.as_str()).or_insert_with(|| {
+                let first = cell_stages.len() as u32;
+                cell_stages.extend(
+                    cell.stages
+                        .iter()
+                        .enumerate()
+                        .map(|(si, stage)| Arc::new(CellStage::derive(process, cell, si, stage))),
+                );
+                first
             });
 
             // Create internal timing nodes for this cell instance.
@@ -365,7 +471,6 @@ impl TimingGraph {
                     StageSignal::Launch => unreachable!("stages never drive Launch"),
                 };
 
-                let (sides, sides_fast) = sides_of[si].clone();
                 stages.push(StageInst {
                     gate: gate_id,
                     stage: si,
@@ -373,8 +478,7 @@ impl TimingGraph {
                     output,
                     is_launch,
                     cground,
-                    sides,
-                    sides_fast,
+                    cell_stage: first + si as u32,
                 });
                 coupling_rows.push(couplings);
             }
@@ -526,7 +630,49 @@ impl TimingGraph {
             couplings,
             stage_level,
             node_calc_level,
+            cell_stages,
         })
+    }
+
+    /// The library cell stage of stage instance `si`.
+    #[inline]
+    pub(crate) fn cell_stage(&self, si: StageId) -> &CellStage {
+        &self.cell_stages[self.stages[si.index()].cell_stage as usize]
+    }
+
+    /// Every library cell stage the graph carries, in first-use order.
+    pub fn cell_stages(&self) -> impl Iterator<Item = &CellStage> + '_ {
+        self.cell_stages.iter().map(|cs| &**cs)
+    }
+
+    /// The characterizable arcs of the cell stages not yet bound, in
+    /// deterministic order: `(cell stage, slot, output rising, arc)`.
+    pub(crate) fn unbound_arcs(
+        &self,
+    ) -> impl Iterator<Item = (&CellStage, usize, bool, &StageArc)> + '_ {
+        self.cell_stages
+            .iter()
+            .filter(|cs| !cs.bound)
+            .flat_map(|cs| {
+                cs.arcs.iter().enumerate().flat_map(move |(slot, pair)| {
+                    [false, true]
+                        .into_iter()
+                        .map(move |rising| (&**cs, slot, rising, &pair[rising as usize]))
+                })
+            })
+            .filter(|(_, _, _, arc)| arc.key.is_some())
+    }
+
+    /// Binds every unbound cell stage: each characterizable arc gets the
+    /// model `model_for` answers for its key, kept only when usable.
+    pub(crate) fn bind(&mut self, model_for: impl Fn(u64) -> Option<Arc<ArcModel>>) {
+        for cs in self.cell_stages.iter_mut().filter(|cs| !cs.bound) {
+            let cs = Arc::make_mut(cs);
+            for arc in cs.arcs.iter_mut().flatten() {
+                arc.model = arc.key.and_then(&model_for).filter(|m| m.usable());
+            }
+            cs.bound = true;
+        }
     }
 
     /// Whether `node`'s state is final when a stage at dependency level
@@ -594,20 +740,6 @@ impl TimingGraph {
             .enumerate()
             .filter_map(|(i, p)| p.map(|si| (TNodeId(i as u32), si)))
     }
-}
-
-/// The side-value table of one library stage: per slot and output
-/// direction, the slowest (or, with `fastest`, the fastest) sensitizing
-/// assignment.
-fn side_table(stage: &Stage, vdd: f64, fastest: bool) -> SideTable {
-    (0..stage.inputs.len())
-        .map(|slot| {
-            [
-                sensitize::side_values_with(stage, slot, false, vdd, fastest),
-                sensitize::side_values_with(stage, slot, true, vdd, fastest),
-            ]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -683,42 +815,80 @@ mod tests {
 
     #[test]
     fn sensitization_is_derived_once_per_cell_stage() {
-        use std::collections::hash_map::Entry;
         let p = Process::c05um();
         let l = Library::c05um(&p);
         let nl = generator::generate(&GeneratorConfig::small(17), &l).expect("gen");
         let g = TimingGraph::build(&nl, &l, &p, &Parasitics::empty(nl.net_count())).expect("build");
-        let mut first: HashMap<(&str, usize), &StageInst> = HashMap::new();
+        let mut first: HashMap<(&str, usize), u32> = HashMap::new();
         let mut shared = 0;
-        for s in &g.stages {
+        for (si, s) in g.stages.iter().enumerate() {
             let cell = l.cell(&nl.gate(s.gate).cell).expect("cell");
             let stage = &cell.stages[s.stage];
-            assert_eq!(s.sides.len(), stage.inputs.len());
-            assert_eq!(s.sides_fast.len(), stage.inputs.len());
+            let cs = g.cell_stage(StageId(si as u32));
+            assert_eq!((cs.cell.as_str(), cs.stage), (cell.name.as_str(), s.stage));
+            assert_eq!(cs.arcs.len(), stage.inputs.len());
             for slot in 0..stage.inputs.len() {
                 for rising in [false, true] {
+                    let arc = &cs.arcs[slot][rising as usize];
+                    assert_eq!(arc.side, sensitize::side_values(stage, slot, rising, p.vdd));
                     assert_eq!(
-                        s.sides[slot][rising as usize],
-                        sensitize::side_values(stage, slot, rising, p.vdd)
-                    );
-                    assert_eq!(
-                        s.sides_fast[slot][rising as usize],
+                        arc.side_fast,
                         sensitize::side_values_with(stage, slot, rising, p.vdd, true)
                     );
+                    let characterizable = !cell.is_sequential()
+                        && !matches!(stage.inputs[slot], StageSignal::Launch)
+                        && arc.side.is_some();
+                    assert_eq!(arc.key.is_some(), characterizable);
+                    if let Some(key) = arc.key {
+                        let side = arc.side.as_deref().expect("sensitizable");
+                        assert_eq!(
+                            key,
+                            macromodel::arc_key(&p, &cell.name, s.stage, slot, rising, side)
+                        );
+                    }
+                    assert!(arc.model.is_none(), "a built graph is unbound");
                 }
             }
             match first.entry((cell.name.as_str(), s.stage)) {
-                Entry::Occupied(e) => {
-                    assert!(Arc::ptr_eq(&e.get().sides, &s.sides));
-                    assert!(Arc::ptr_eq(&e.get().sides_fast, &s.sides_fast));
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    assert_eq!(*e.get(), s.cell_stage, "instances share one entry");
                     shared += 1;
                 }
-                Entry::Vacant(e) => {
-                    e.insert(s);
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(s.cell_stage);
                 }
             }
         }
         assert!(shared > 0, "a generated design repeats cell stages");
+        assert_eq!(
+            first.len(),
+            g.cell_stages().count(),
+            "one entry per cell stage"
+        );
+    }
+
+    #[test]
+    fn rebuild_keeps_bound_cell_stages_and_binds_only_new_ones() {
+        let p = Process::c05um();
+        let l = Library::c05um(&p);
+        let nl = bench::parse("INPUT(a)\nOUTPUT(y)\nw = NOT(a)\ny = NOT(w)\n", &l).expect("parse");
+        let para = Parasitics::empty(nl.net_count());
+        let mut g = TimingGraph::build(&nl, &l, &p, &para).expect("build");
+        assert_eq!(g.unbound_arcs().count(), 2, "one inverter stage, two arcs");
+        g.bind(|_| None);
+        assert_eq!(g.unbound_arcs().count(), 0);
+        let nand = bench::parse(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nw = NOT(a)\ny = NAND(w, b)\n",
+            &l,
+        )
+        .expect("parse");
+        let next = TimingGraph::rebuild(&nand, &l, &p, &Parasitics::empty(nand.net_count()), &g)
+            .expect("rebuild");
+        assert_eq!(next.cell_stages().count(), 2, "the inverter carries over");
+        assert!(next
+            .unbound_arcs()
+            .all(|(cs, ..)| cs.cell.starts_with("NAND2")));
+        assert_eq!(next.unbound_arcs().count(), 4, "two slots, two directions");
     }
 
     #[test]

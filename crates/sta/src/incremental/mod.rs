@@ -184,14 +184,11 @@ impl<'a> IncrementalSta<'a> {
         parasitics: Parasitics,
         config: ExecConfig,
     ) -> Result<Self, StaError> {
-        let graph = TimingGraph::build(&netlist, library, process, &parasitics)?;
-        // Same build-time characterization as the batch engine, so ECO
-        // reanalysis and a fresh batch run stay bit-identical (both answer
-        // the same queries from the same store). Lazy mode suits ECO
-        // especially: edits touching small cones characterize only the
-        // arcs they actually query.
+        let mut graph = TimingGraph::build(&netlist, library, process, &parasitics)?;
+        // The batch engine's binding, so ECO reanalysis and a fresh batch
+        // run answer the same queries from the same models.
         let exec = Executor::new(config);
-        exec.prewarm_tables(process, library);
+        exec.bind_models(process, library, &mut graph);
         Ok(Self {
             library,
             process,
@@ -295,8 +292,18 @@ impl<'a> IncrementalSta<'a> {
         let mut netlist = self.netlist.clone();
         let mut parasitics = self.parasitics.clone();
         let (seeds, outcome) = edit::apply_edit(&mut netlist, &mut parasitics, self.library, edit)?;
-        let graph = TimingGraph::build(&netlist, self.library, self.process, &parasitics)
-            .map_err(EditError::Netlist)?;
+        let mut graph = TimingGraph::rebuild(
+            &netlist,
+            self.library,
+            self.process,
+            &parasitics,
+            &self.graph,
+        )
+        .map_err(EditError::Netlist)?;
+        // Only cells new to the design have unbound arcs; the rest keep
+        // the models bound to the graph this edit replaces.
+        self.exec
+            .bind_models(self.process, self.library, &mut graph);
         self.netlist = netlist;
         self.parasitics = parasitics;
         let old_graph = mem::replace(&mut self.graph, Arc::new(graph));

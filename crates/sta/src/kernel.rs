@@ -766,6 +766,7 @@ impl PropagationCore<'_> {
             .cell(&gate.cell)
             .expect("graph construction verified cells");
         let stage: &Stage = &cell.stages[stage_inst.stage];
+        let arcs = &self.graph.cell_stage(si).arcs;
         let inject = self.inject_for(&gate.name);
 
         for (slot, input) in stage_inst.inputs.iter().enumerate() {
@@ -779,12 +780,13 @@ impl PropagationCore<'_> {
                     continue;
                 };
                 let out_rising = !in_rising;
-                let side_table = if earliest {
-                    &stage_inst.sides_fast
+                let stage_arc = &arcs[slot][out_rising as usize];
+                let side = if earliest {
+                    &stage_arc.side_fast
                 } else {
-                    &stage_inst.sides
+                    &stage_arc.side
                 };
-                let Some(side) = side_table[slot][out_rising as usize].as_ref() else {
+                let Some(side) = side.as_deref() else {
                     continue;
                 };
 
@@ -794,47 +796,14 @@ impl PropagationCore<'_> {
                     in_wave = mirror(&in_wave, vdd);
                 }
 
-                // The arc's characterized macromodel, when the fast path
-                // applies. Signoff forces the full solver; min-delay tables
-                // are not characterized (a pessimistic table would be
-                // *optimistic* for earliest-arrival merging); launch arcs
-                // and fault-injected stages always take the ordinary path.
-                let eligible =
-                    !(self.exec.config().signoff || earliest || launch || inject.skips_memo());
-                let arc_key = eligible.then(|| {
-                    macromodel::arc_key(
-                        process,
-                        &gate.cell,
-                        stage_inst.stage,
-                        slot,
-                        out_rising,
-                        side,
-                    )
-                });
-                let stored = arc_key.and_then(macromodel::model_for);
-                // In lazy mode an arc with no model yet carries its key
-                // down to the solve layer, which characterizes on the
-                // first in-admission query (the only place the query load
-                // exists). Only arcs in the prewarm universe qualify —
-                // lazy must never build a model a prewarm pass would not,
-                // or the two schedules would route queries differently.
-                // An arc whose model is merely unusable is already
-                // characterized — nothing lazy to do.
-                let lazy_arc = if stored.is_none()
-                    && self.exec.config().characterize == crate::exec::CharacterizeMode::Lazy
-                    && macromodel::prewarm_member(
-                        process,
-                        cell,
-                        stage_inst.stage,
-                        slot,
-                        out_rising,
-                        side,
-                    ) {
-                    arc_key
-                } else {
-                    None
-                };
-                let model = stored.filter(|m| m.usable());
+                // The arc's bound macromodel, when the fast path applies.
+                // Signoff forces the full solver; min-delay tables are not
+                // characterized (a pessimistic table would be *optimistic*
+                // for earliest-arrival merging); launch arcs are never
+                // characterized and fault-injected stages always take the
+                // ordinary path.
+                let eligible = !(self.exec.config().signoff || earliest || inject.skips_memo());
+                let model = stage_arc.model.as_deref().filter(|_| eligible);
 
                 // Coupling treatment is the policy's call; the kernel owns
                 // the solver choke point behind the callback. A failed
@@ -871,8 +840,7 @@ impl PropagationCore<'_> {
                             load,
                             out_rising,
                             earliest,
-                            model.as_deref(),
-                            lazy_arc,
+                            model,
                             counters,
                             &inject,
                         )
@@ -978,12 +946,9 @@ impl PropagationCore<'_> {
                     continue;
                 };
                 let out_rising = !in_rising;
-                let side_table = if earliest {
-                    &stage_inst.sides_fast
-                } else {
-                    &stage_inst.sides
-                };
-                if side_table[slot][out_rising as usize].is_none() {
+                let arc = &self.graph.cell_stage(si).arcs[slot][out_rising as usize];
+                let side = if earliest { &arc.side_fast } else { &arc.side };
+                if side.is_none() {
                     continue;
                 }
                 let fb = self.fallback_wave(&info.wave, out_rising, earliest);
@@ -1101,7 +1066,6 @@ impl PropagationCore<'_> {
         out_rising: bool,
         earliest: bool,
         model: Option<&macromodel::ArcModel>,
-        lazy_arc: Option<u64>,
         counters: &mut SolveCounters,
         inject: &Inject,
     ) -> Result<Waveform, StageError> {
@@ -1110,29 +1074,6 @@ impl PropagationCore<'_> {
             return Err(e);
         }
         let load = inject.doctor_load(load);
-        // Demand-driven characterization: a lazy-mode arc with no model
-        // yet builds its grid on the first in-admission query. The sweep
-        // is a deterministic pure function of `(process, arc)` and the
-        // model-store insert is first-wins, so *when* it happens cannot
-        // change the table bits — lazy and prewarm serve identical
-        // answers. Out-of-admission queries never trigger it (they would
-        // fall back to the exact solver under a prewarmed model too).
-        let lazy_model = match (model, lazy_arc) {
-            (None, Some(key))
-                if macromodel::query_admissible(self.process, in_wave, &load, out_rising) =>
-            {
-                let built =
-                    macromodel::ensure_model(key, self.process, stage, slot, side, out_rising);
-                if let Some(store) = self.exec.char_store() {
-                    // Append failures degrade to characterize-again-next-
-                    // process; the analysis itself is unaffected.
-                    let _ = store.append_models(&[(key, built.to_bytes())]);
-                }
-                Some(built)
-            }
-            _ => None,
-        };
-        let model = model.or_else(|| lazy_model.as_deref().filter(|m| m.usable()));
         // The macromodel fast path: answer from the arc's characterized
         // tables when the query folds into the grid (DESIGN.md D12). The
         // synthesized waveform carries the cell's certified pessimistic

@@ -74,17 +74,21 @@ impl<'a> ScenarioMatrix<'a> {
         &self.corners
     }
 
-    /// Characterizes every corner's macromodel tables up front (each
-    /// corner's [`Process::corner`] derivation is keyed separately), so a
-    /// following [`ScenarioMatrix::run`] pays zero characterization.
-    /// `run` performs the same per-corner prewarm itself; this method
-    /// only exists to let callers measure or schedule the
-    /// characterization phase apart from the solve phase. Results are
-    /// identical either way.
+    /// Characterizes every corner's design arcs up front (each corner's
+    /// [`Process::corner`] derivation is keyed separately), so a following
+    /// [`ScenarioMatrix::run`] pays zero characterization. `run` binds
+    /// each corner's graph itself; this method only exists to let callers
+    /// measure or schedule the characterization phase apart from the
+    /// solve phase. Results are identical either way. A netlist that does
+    /// not expand characterizes nothing here; `run` reports its error.
     pub fn prewarm(&self) {
         for corner in &self.corners {
             let process = self.base.corner(corner);
-            self.exec.prewarm_tables(&process, self.library);
+            if let Ok(mut graph) =
+                TimingGraph::build(self.netlist, self.library, &process, self.parasitics)
+            {
+                self.exec.bind_models(&process, self.library, &mut graph);
+            }
         }
     }
 
@@ -95,9 +99,9 @@ impl<'a> ScenarioMatrix<'a> {
     ///
     /// Corners run in matrix order; each corner derives its own scaled
     /// process ([`Process::corner`]), rebuilds the timing graph against it
-    /// (side voltages scale with the corner's Vdd), characterizes its own
-    /// macromodel tables (corner-keyed, never cross-served), and reuses
-    /// the shared executor.
+    /// (side voltages scale with the corner's Vdd), binds its own
+    /// macromodels (corner-keyed, never cross-served), and reuses the
+    /// shared executor.
     ///
     /// # Errors
     ///
@@ -107,12 +111,13 @@ impl<'a> ScenarioMatrix<'a> {
         let mut corners_out: Vec<CornerRun> = Vec::with_capacity(self.corners.len());
         for corner in &self.corners {
             let process = self.base.corner(corner);
-            let graph = TimingGraph::build(self.netlist, self.library, &process, self.parasitics)?;
-            // Corner-keyed characterization through the shared executor:
-            // the on-disk store replays once per corner (later corners and
-            // later runs find their tables) and the residual sweep runs on
-            // the worker pool.
-            self.exec.prewarm_tables(&process, self.library);
+            let mut graph =
+                TimingGraph::build(self.netlist, self.library, &process, self.parasitics)?;
+            // Corner-keyed binding through the shared executor: the
+            // on-disk store replays at most once per matrix, and only the
+            // corner's missing design arcs are characterized, on the
+            // worker pool.
+            self.exec.bind_models(&process, self.library, &mut graph);
             let core = PropagationCore {
                 netlist: self.netlist,
                 library: self.library,

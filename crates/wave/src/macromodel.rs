@@ -38,19 +38,19 @@
 //! (see [`arc_key`]), so characterization is paid once per process however
 //! many analyzers are built. Characterization itself is a deterministic
 //! pure function of `(process, arc)` and the store insert is first-wins,
-//! so *when* and *on which thread* an arc is characterized — serial or
-//! parallel prewarm ([`prewarm_library`] / [`prewarm_work`]), replay from
-//! an on-disk store ([`insert_model`] of [`ArcModel::from_bytes`]), or a
-//! demand-driven build on first in-grid miss ([`query_admissible`]) —
-//! cannot change the bits a lookup serves. Batch, threaded, incremental
-//! and served analyses therefore stay bit-identical to each other in
-//! every characterization mode.
+//! so *when* and *on which thread* an arc is characterized — by the
+//! analyzer's design-driven binding, by the library-wide sweep for tools
+//! and benchmarks ([`prewarm_library`]), or by replay from an on-disk
+//! store ([`insert_model`] of [`ArcModel::from_bytes`]) — cannot change
+//! the bits a lookup serves. The analyzer resolves each of its design's
+//! arcs to a model once, when it binds its timing graph, so the solve
+//! path reads a bound model and never touches this store.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use xtalk_tech::cell::{Cell, Stage, StageSignal};
+use xtalk_tech::cell::{Stage, StageSignal};
 use xtalk_tech::{DeviceType, Library, Process};
 
 use crate::pwl::Waveform;
@@ -1035,58 +1035,6 @@ pub fn process_sig(process: &Process) -> u64 {
     process_token(process)
 }
 
-/// Whether a query falls inside the characterized grid — the
-/// model-independent prefix of [`ArcModel::lookup`]'s admission chain:
-/// direction, input-shape class, slew and crossing presence, load folding
-/// (family rule included) and the grid spans. Demand-driven (lazy)
-/// characterization uses this to decide whether a missing model is worth
-/// building. It is a strict superset of lookup admission: it never
-/// returns `false` for a query an existing model's `lookup` would
-/// answer, so lazy and prewarm runs route exactly the same queries
-/// through the tables and stay bit-identical.
-pub fn query_admissible(
-    process: &Process,
-    in_wave: &Waveform,
-    load: &Load,
-    out_rising: bool,
-) -> bool {
-    let Some(v) = Volts::of(process) else {
-        return false;
-    };
-    if in_wave.is_rising() == out_rising {
-        return false;
-    }
-    let band = 0.5 * v.vth;
-    let v0 = in_wave.initial_value();
-    let in_rising = !out_rising;
-    let (full_rail, snap_v) = if in_rising {
-        (0.0, v.vth)
-    } else {
-        (v.vdd, v.vdd - v.vth)
-    };
-    if (v0 - full_rail).abs() > band && (v0 - snap_v).abs() > band {
-        return false;
-    }
-    let Some(slew_in) = in_wave.slew(v.slo, v.shi) else {
-        return false;
-    };
-    if in_wave.crossing(v.th).is_none() {
-        return false;
-    }
-    let Ok((ctot, ratio)) = fold_load(load) else {
-        return false;
-    };
-    if axis(&GRID_SLEWS, slew_in).is_none() || axis(&GRID_LOADS, ctot).is_none() {
-        return false;
-    }
-    if let Some(r) = ratio {
-        if axis(&GRID_RATIOS, r.max(GRID_RATIOS[0])).is_none() {
-            return false;
-        }
-    }
-    true
-}
-
 type Store = RwLock<HashMap<u64, Arc<ArcModel>>>;
 
 fn store() -> &'static Store {
@@ -1097,8 +1045,8 @@ fn store() -> &'static Store {
 /// Newton solves spent characterizing arcs (sweep + validation probes).
 static CHAR_SOLVES: AtomicUsize = AtomicUsize::new(0);
 
-/// Fetches a model from the process-global store. Solve-time misses are
-/// fallbacks, never inline characterizations.
+/// Fetches a model from the process-global store. Analyzers call it once
+/// per design arc when they bind their timing graph, never per solve.
 pub fn model_for(key: u64) -> Option<Arc<ArcModel>> {
     let guard = store().read().unwrap_or_else(|e| e.into_inner());
     guard.get(&key).cloned()
@@ -1172,7 +1120,7 @@ pub fn clear_store() {
     guard.clear();
 }
 
-/// One prewarm work item: a characterizable combinational timing arc of a
+/// One characterization work item: a combinational timing arc of a
 /// library cell whose model is not yet in the process-global store.
 pub struct PrewarmItem<'l> {
     /// Store key of the arc's model ([`arc_key`]).
@@ -1187,43 +1135,6 @@ pub struct PrewarmItem<'l> {
     pub out_rising: bool,
 }
 
-/// Whether an arc belongs to the prewarm universe — exactly
-/// [`prewarm_work`]'s enumeration: a combinational cell, a non-launch
-/// input slot, and side values bitwise equal to the canonical
-/// sensitization. Demand-driven (lazy) characterization builds a model
-/// only when this holds, so a lazy run and a prewarm run characterize
-/// the same key set and serve bit-identical tables; arcs outside the
-/// universe take the full solver under either schedule.
-pub fn prewarm_member(
-    process: &Process,
-    cell: &Cell,
-    stage_in_cell: usize,
-    slot: usize,
-    out_rising: bool,
-    side: &[f64],
-) -> bool {
-    if cell.is_sequential() {
-        return false;
-    }
-    let Some(stage) = cell.stages.get(stage_in_cell) else {
-        return false;
-    };
-    if !matches!(
-        stage.inputs.get(slot),
-        Some(StageSignal::Pin(_) | StageSignal::Internal(_))
-    ) {
-        return false;
-    }
-    let Some(canon) = sensitize::side_values(stage, slot, out_rising, process.vdd) else {
-        return false;
-    };
-    canon.len() == side.len()
-        && canon
-            .iter()
-            .zip(side)
-            .all(|(&a, &b)| canon_bits(a) == canon_bits(b))
-}
-
 /// The outstanding characterization work of `library` under `process`:
 /// every combinational, sensitizable timing arc whose model is missing
 /// from the process-global store, in deterministic library order.
@@ -1231,7 +1142,7 @@ pub fn prewarm_member(
 /// Each item is an independent, deterministic characterization, so a
 /// caller may execute the list in any order on any number of workers and
 /// produce bit-identical tables.
-pub fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmItem<'l>> {
+fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmItem<'l>> {
     let vdd = process.vdd;
     let mut work: Vec<PrewarmItem<'l>> = Vec::new();
     let guard = store().read().unwrap_or_else(|e| e.into_inner());
@@ -1265,20 +1176,38 @@ pub fn prewarm_work<'l>(process: &Process, library: &'l Library) -> Vec<PrewarmI
     work
 }
 
-/// Characterizes every combinational timing arc of `library` into the
-/// process-global store, using up to `threads` worker threads. Called at
-/// analyzer build time (never from the solve path) so incremental edits
-/// that instantiate new cells of the same library still find their models
-/// — keeping ECO results bit-identical to a fresh batch run.
+/// The library-wide sweep for tools and benchmarks: characterizes every
+/// combinational timing arc of `library` into the process-global store,
+/// using up to `threads` worker threads. Analyzers never call it — they
+/// characterize only their design's arcs when they bind their timing
+/// graph — but the tables it builds are the same bits.
 pub fn prewarm_library(process: &Process, library: &Library, threads: usize) {
     let work = prewarm_work(process, library);
-    if work.is_empty() {
-        return;
-    }
-    let workers = threads.clamp(1, work.len());
-    if workers == 1 {
-        for item in &work {
-            let _ = ensure_model(
+    let workers = threads.clamp(1, work.len().max(1));
+    characterize_work(process, &work, |sweep| {
+        std::thread::scope(|scope| {
+            for worker in 1..workers {
+                scope.spawn(move || sweep(worker));
+            }
+            sweep(0);
+        });
+    });
+}
+
+/// Characterizes every item of `work` into the process-global store, each
+/// once. `run` receives the sweep's worker body and must call it on every
+/// worker it provides; one inline call is the serial sweep. Workers claim
+/// items in list order, and each characterization is a pure function of
+/// `(process, arc)`, so every worker count builds the same bits.
+pub fn characterize_work(
+    process: &Process,
+    work: &[PrewarmItem<'_>],
+    run: impl FnOnce(&(dyn Fn(usize) + Sync)),
+) {
+    let next = AtomicUsize::new(0);
+    run(&|_worker| {
+        while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+            ensure_model(
                 item.key,
                 process,
                 item.stage,
@@ -1286,26 +1215,6 @@ pub fn prewarm_library(process: &Process, library: &Library, threads: usize) {
                 &item.side,
                 item.out_rising,
             );
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = work.get(i) else {
-                    break;
-                };
-                let _ = ensure_model(
-                    item.key,
-                    process,
-                    item.stage,
-                    item.slot,
-                    &item.side,
-                    item.out_rising,
-                );
-            });
         }
     });
 }
@@ -1650,58 +1559,6 @@ mod tests {
             model.lookup_classified(&rising_in, &Load::grounded(20e-15), true),
             Err(FallbackReason::Shape)
         );
-    }
-
-    /// `query_admissible` must never reject a query `lookup` would answer
-    /// — the soundness condition that keeps lazy and prewarm modes
-    /// bit-identical. Sweep a grid of queries (in-grid, off-grid, coupled,
-    /// assisting) and check the implication both ways where it must hold.
-    #[test]
-    fn query_admissible_is_superset_of_lookup_admission() {
-        let process = Process::c05um();
-        let library = Library::c05um(&process);
-        let c = library.cell("INVX1").expect("INVX1");
-        let stage = &c.stages[0];
-        let side = sensitize::side_values(stage, 0, true, process.vdd).expect("side");
-        let model = characterize_arc(&process, stage, 0, &side, true);
-        assert!(model.usable());
-        let v = Volts::of(&process).expect("ladder");
-        let mut state = 0xdead_beef_cafe_f00d_u64;
-        let mut admitted = 0usize;
-        for i in 0..200 {
-            let slew = GRID_SLEWS[0] * 0.5 + rng(&mut state) * GRID_SLEWS[NS - 1] * 1.5;
-            let l = GRID_LOADS[0] * 0.5 + rng(&mut state) * GRID_LOADS[NL - 1] * 1.5;
-            let ratio = match i % 4 {
-                0 => None,
-                1 => Some(rng(&mut state) * GRID_RATIOS[NR - 1] * 1.5),
-                _ => Some(GRID_RATIOS[0] + rng(&mut state) * 0.2),
-            };
-            let shape = if i % 2 == 0 {
-                InputShape::Full
-            } else {
-                InputShape::Snapped
-            };
-            let Some(input) = ramp_input(&v, false, shape, slew, 4.0 * slew + 1e-9) else {
-                continue;
-            };
-            let load = match ratio {
-                None => Load::grounded(l),
-                Some(r) => Load {
-                    cground: l * (1.0 - r),
-                    couplings: vec![Coupling::new(l * r, CouplingMode::Active)],
-                },
-            };
-            let by_lookup = model.lookup(&input, &load, true).is_some();
-            let by_query = query_admissible(&process, &input, &load, true);
-            if by_lookup {
-                admitted += 1;
-                assert!(
-                    by_query,
-                    "query_admissible rejected a query lookup answers (i={i})"
-                );
-            }
-        }
-        assert!(admitted > 20, "sweep covered too few admitted queries");
     }
 
     #[test]

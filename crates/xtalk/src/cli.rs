@@ -18,6 +18,9 @@
 //! Modes: `best`, `doubled`, `worst`, `onestep`, `iterative` (default),
 //! `esperance`, `min`.
 //!
+//! Each command accepts only the flags its usage line names; any other
+//! flag (a typo such as `--thread`) is a configuration error, exit 2.
+//!
 //! `--threads N` sizes the wavefront scheduler's worker pool (`1` forces
 //! the serial engine); it overrides the `XTALK_THREADS` environment
 //! variable. `XTALK_CACHE=0` disables the stage-solve cache, which only
@@ -89,18 +92,19 @@ xtalk — crosstalk-aware static timing analysis (DATE 2000 reproduction)
 
 USAGE:
   xtalk report <netlist.(bench|v)> [--spef FILE] [--mode MODE] [--period NS] [--glitch] [--bits] [--threads N] [--strict] [--signoff]
-               [--corners ss,tt,ff] [--characterize=prewarm|lazy] [--char-store FILE]
+               [--corners ss,tt,ff] [--char-store FILE]
                (`analyze` is an alias for `report`)
   xtalk flow <netlist.(bench|v)> --out DIR
   xtalk convert <input.(bench|v)> <output.(bench|v)>
   xtalk generate --preset small|medium|s35932|s38417|s38584 [--seed N] <output.(bench|v)>
   xtalk liberty <output.lib> [--cells A,B,...] [--char-store FILE]
   xtalk sdf <netlist.(bench|v)> <output.sdf> [--mode MODE] [--spef FILE] [--threads N] [--strict] [--signoff]
+            [--char-store FILE]
   xtalk eco <netlist.(bench|v)> <edits.eco> [--mode MODE] [--spef FILE] [--check] [--threads N] [--strict] [--signoff]
+            [--char-store FILE]
   xtalk serve --socket PATH [--store FILE] [--request-timeout MS] [--store-sync always|interval|never]
               [--compact-threshold BYTES] [--max-connections N] [--max-inflight N]
-              [--threads N] [--strict] [--signoff]
-              [--characterize=prewarm|lazy] [--char-store FILE]
+              [--threads N] [--strict] [--signoff] [--char-store FILE]
   xtalk client --socket PATH [--deadline MS] <action>
 
 CLIENT ACTIONS (against a running `xtalk serve`):
@@ -144,15 +148,16 @@ conservative error bound (DESIGN.md D12). --signoff (or XTALK_SIGNOFF=1)
 disables the tables so every solve runs the full transistor-level Newton
 iteration, bit-identical to the pre-macromodel engine.
 
-CHARACTERIZATION: --characterize (or XTALK_CHARACTERIZE) picks when the
-macromodel tables are built: `prewarm` (default) characterizes every
-sensitizable arc up front on the worker pool; `lazy` characterizes an arc
-on its first in-grid query. Served results are bit-identical either way —
-only the build schedule changes. --char-store FILE (or XTALK_CHAR_STORE)
-persists characterized tables to a checksummed on-disk store, replayed on
-the next run so repeat invocations, daemon restarts and extra corners pay
-zero characterization Newton solves; corrupt or stale records are skipped
-and rebuilt (DESIGN.md D15).
+CHARACTERIZATION: the analyzer characterizes the macromodel tables of
+exactly the arcs its design instantiates, up front on the worker pool, and
+an ECO edit that brings in a new cell characterizes that cell's arcs when
+it is applied. --char-store FILE (or XTALK_CHAR_STORE) persists
+characterized tables to a checksummed on-disk store, replayed on the next
+run so repeat invocations, daemon restarts and extra corners pay zero
+characterization Newton solves; corrupt or stale records are skipped and
+rebuilt (DESIGN.md D15).
+
+Every command rejects flags its usage line does not name (exit 2).
 
 ROBUSTNESS: recoverable solver faults degrade the affected node to a
 conservative bound and are listed as diagnostics; the exit code is 0 for a
@@ -280,8 +285,27 @@ fn save_netlist(path: &str, netlist: &Netlist, library: &Library) -> Result<(), 
     Ok(())
 }
 
-/// Simple flag scanner: returns (positional args, flag lookup).
-fn split_flags(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
+/// The flags [`exec_config`] reads, shared by every analysis command.
+const EXEC_FLAGS: &[&str] = &["threads", "strict", "signoff", "char-store"];
+
+/// The fault-injection hook's flag, accepted only where it is compiled in.
+const INJECT_FLAGS: &[&str] = if cfg!(feature = "fault-injection") {
+    &["inject"]
+} else {
+    &[]
+};
+
+/// Parsed `--name [value]` flags, in command-line order.
+type Flags<'a> = Vec<(&'a str, Option<&'a str>)>;
+
+/// Flag scanner: returns (positional args, flag lookup). A flag outside
+/// the `accepted` groups is a configuration error (exit 2) naming it, so
+/// a typo never quietly runs the defaults.
+fn split_flags<'a>(
+    command: &str,
+    args: &'a [String],
+    accepted: &[&[&str]],
+) -> Result<(Vec<&'a str>, Flags<'a>), CliError> {
     let mut pos = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
@@ -306,7 +330,16 @@ fn split_flags(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
         }
         i += 1;
     }
-    (pos, flags)
+    if let Some((name, _)) = flags
+        .iter()
+        .find(|(name, _)| !accepted.iter().any(|group| group.contains(name)))
+    {
+        return Err(CliError {
+            message: format!("{command}: unknown flag `--{name}` (see `xtalk help`)"),
+            code: 2,
+        });
+    }
+    Ok((pos, flags))
 }
 
 fn flag<'a>(flags: &[(&'a str, Option<&'a str>)], name: &str) -> Option<Option<&'a str>> {
@@ -323,13 +356,6 @@ fn exec_config(flags: &[(&str, Option<&str>)]) -> Result<ExecConfig, CliError> {
             .filter(|&t| t >= 1)
             .ok_or_else(|| err("--threads expects an integer >= 1"))?;
         config = config.with_threads(threads);
-    }
-    if let Some(mode) = flag(flags, "characterize") {
-        let mode = mode.ok_or_else(|| err("--characterize expects prewarm or lazy"))?;
-        config = config.with_characterize(xtalk_sta::exec::CharacterizeMode::parse(
-            "--characterize",
-            mode,
-        )?);
     }
     if let Some(path) = flag(flags, "char-store") {
         let path = path.ok_or_else(|| err("--char-store expects a file path"))?;
@@ -428,25 +454,21 @@ fn solver_summary(report: &ModeReport) -> String {
 }
 
 /// One-line characterization summary, printed only when the run opted into
-/// the characterization machinery (a non-default `--characterize` mode or a
-/// `--char-store`), keeping default output byte-identical to earlier
+/// a `--char-store`, keeping default output byte-identical to earlier
 /// releases. The `grid solves` count is the number of characterization
 /// Newton sweeps this process ran — CI greps it to prove a store-warm run
 /// paid zero.
-fn characterization_summary(
-    mode: xtalk_sta::exec::CharacterizeMode,
-    store: &Option<std::path::PathBuf>,
-) -> String {
-    if mode == xtalk_sta::exec::CharacterizeMode::Prewarm && store.is_none() {
+fn characterization_summary(store: &Option<std::path::PathBuf>) -> String {
+    let Some(store) = store else {
         return String::new();
-    }
+    };
     let m = xtalk_wave::macromodel::stats();
-    let store = store
-        .as_ref()
-        .map_or_else(|| "none".to_string(), |p| p.display().to_string());
     format!(
-        "characterization: {} grid solves, {} models ({} usable), mode {mode}, store {store}\n",
-        m.char_solves, m.models, m.usable
+        "characterization: {} grid solves, {} models ({} usable), store {}\n",
+        m.char_solves,
+        m.models,
+        m.usable,
+        store.display()
     )
 }
 
@@ -494,13 +516,20 @@ fn load_design(netlist_path: &str, spef: Option<&str>) -> Result<LoadedDesign, C
 }
 
 fn cmd_report(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags(
+        "report",
+        args,
+        &[
+            EXEC_FLAGS,
+            &["spef", "mode", "period", "glitch", "bits", "corners"],
+            INJECT_FLAGS,
+        ],
+    )?;
     let [netlist_path] = pos.as_slice() else {
         return Err(err(format!("report needs one netlist file\n\n{USAGE}")));
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
     let config = exec_config(&flags)?;
-    let characterize = config.characterize;
     let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     if let Some(corners) = config.corners.clone() {
@@ -539,11 +568,7 @@ fn cmd_report(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
     if let Some(line) = xtalk_sta::fallback_reason_line(&report) {
         let _ = writeln!(out, "{line}");
     }
-    let _ = write!(
-        out,
-        "{}",
-        characterization_summary(characterize, &char_store)
-    );
+    let _ = write!(out, "{}", characterization_summary(&char_store));
     let _ = write!(out, "{}", xtalk_sta::report::solver_table(&report));
     if flag(&flags, "bits").is_some() {
         // Bit-exact transport of the delay for cross-process identity
@@ -601,7 +626,6 @@ fn report_scenario(
     config: ExecConfig,
     flags: &[(&str, Option<&str>)],
 ) -> Result<(String, Option<Severity>), CliError> {
-    let characterize = config.characterize;
     let char_store = config.char_store.clone();
     let matrix = xtalk_sta::ScenarioMatrix::new(
         &d.netlist,
@@ -626,7 +650,7 @@ fn report_scenario(
         corner_names.join(",")
     );
     out.push_str(&xtalk_sta::corner_summary_table(&report));
-    out.push_str(&characterization_summary(characterize, &char_store));
+    out.push_str(&characterization_summary(&char_store));
     let _ = writeln!(out);
     out.push_str(&xtalk_sta::scenario_table(&d.netlist, &report, 10));
     if flag(flags, "bits").is_some() {
@@ -658,7 +682,7 @@ fn report_scenario(
 }
 
 fn cmd_flow(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags("flow", args, &[&["out"]])?;
     let [netlist_path] = pos.as_slice() else {
         return Err(err(format!("flow needs one netlist file\n\n{USAGE}")));
     };
@@ -684,7 +708,7 @@ fn cmd_flow(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_flags(args);
+    let (pos, _) = split_flags("convert", args, &[])?;
     let [input, output] = pos.as_slice() else {
         return Err(err(format!(
             "convert needs input and output files\n\n{USAGE}"
@@ -701,7 +725,7 @@ fn cmd_convert(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags("generate", args, &[&["preset", "seed"]])?;
     let [output] = pos.as_slice() else {
         return Err(err(format!("generate needs one output file\n\n{USAGE}")));
     };
@@ -733,7 +757,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags("liberty", args, &[&["cells", "char-store"]])?;
     let [output] = pos.as_slice() else {
         return Err(err(format!("liberty needs one output file\n\n{USAGE}")));
     };
@@ -805,7 +829,7 @@ fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_sdf(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags("sdf", args, &[EXEC_FLAGS, &["mode", "spef"]])?;
     let [netlist_path, output] = pos.as_slice() else {
         return Err(err(format!(
             "sdf needs a netlist and an output file\n\n{USAGE}"
@@ -825,7 +849,7 @@ fn cmd_sdf(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags("eco", args, &[EXEC_FLAGS, &["mode", "spef", "check"]])?;
     let [netlist_path, script_path] = pos.as_slice() else {
         return Err(err(format!(
             "eco needs a netlist and an edit script\n\n{USAGE}"
@@ -903,7 +927,22 @@ fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     use xtalk_sta::serve::{Daemon, ServeConfig, SyncPolicy};
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags(
+        "serve",
+        args,
+        &[
+            EXEC_FLAGS,
+            &[
+                "socket",
+                "store",
+                "request-timeout",
+                "store-sync",
+                "compact-threshold",
+                "max-connections",
+                "max-inflight",
+            ],
+        ],
+    )?;
     if !pos.is_empty() {
         return Err(err(format!("serve takes only flags\n\n{USAGE}")));
     }
@@ -1001,7 +1040,11 @@ fn client_severity(resp: &xtalk_sta::serve::Json) -> Option<Severity> {
 
 fn cmd_client(args: &[String]) -> Result<(String, i32), CliError> {
     use xtalk_sta::serve::{Client, Json};
-    let (pos, flags) = split_flags(args);
+    let (pos, flags) = split_flags(
+        "client",
+        args,
+        &[&["socket", "deadline", "mode", "corner", "spef", "period"]],
+    )?;
     let socket = flag(&flags, "socket")
         .flatten()
         .ok_or_else(|| err("client requires --socket PATH"))?;
@@ -1580,8 +1623,8 @@ mod tests {
         let spelled = run(&argv(&["report", &bench, "--mode=onestep", "--threads=1"]))
             .expect("--flag=value report");
         assert_eq!(mask_runtime(&spelled), mask_runtime(&serial));
-        // `prewarm` and `lazy` are the only schedules: anything else is a
-        // typed configuration error.
+        // There is no characterization schedule to pick: the flag is
+        // unknown, a typed configuration error.
         let e = run(&argv(&["report", &bench, "--characterize", "off"])).unwrap_err();
         assert_eq!(e.code, 2, "unknown schedule exits 2: {e}");
     }
@@ -1603,6 +1646,37 @@ mod tests {
         let strict = run_with_code(&argv(&["report", &bench, "--mode", "best", "--strict"]))
             .expect("a clean design passes strict mode");
         assert_eq!(strict.exit_code, 0);
+    }
+
+    #[test]
+    fn unknown_flags_are_config_errors_naming_the_flag() {
+        let bench = tmp("typo.bench");
+        run(&argv(&[
+            "generate", "--preset", "small", "--seed", "8", &bench,
+        ]))
+        .expect("generate");
+        let e = run(&argv(&["report", &bench, "--thread", "4"])).unwrap_err();
+        assert_eq!(e.code, 2, "a typo is a config error: {e}");
+        assert!(e.to_string().contains("`--thread`"), "{e}");
+        // The flag is checked before the daemon binds its socket.
+        let socket = tmp("typo.sock");
+        let e = run(&argv(&[
+            "serve",
+            "--socket",
+            &socket,
+            "--max-conections",
+            "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.code, 2, "a typo is a config error: {e}");
+        assert!(e.to_string().contains("`--max-conections`"), "{e}");
+        assert!(
+            !std::path::Path::new(&socket).exists(),
+            "serve must not bind"
+        );
+        // A flag one command takes is still unknown to another.
+        let e = run(&argv(&["generate", "--preset", "small", "--check", &bench])).unwrap_err();
+        assert_eq!(e.code, 2, "{e}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Characterization schedules and the on-disk characterization store
+//! Design-driven characterization and the on-disk characterization store
 //! (`DESIGN.md` D15): however and whenever the macromodel tables get
-//! built — prewarmed up front, demand-driven (lazy), serial or on the
-//! worker pool, characterized fresh or replayed from disk — the served
-//! bits must be identical, and a store-warm analyzer build must pay zero
+//! built — for the design's arcs only or library-wide, serial or on the
+//! worker pool, at build time or when an ECO brings in a new cell,
+//! characterized fresh or replayed from disk — the served bits must be
+//! identical, and a store-warm analyzer build must pay zero
 //! characterization Newton solves.
 //!
 //! The tests share the process-global model store and the process-wide
@@ -13,8 +14,8 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use xtalk::prelude::*;
-use xtalk::sta::{CharStore, CharacterizeMode};
-use xtalk::wave::macromodel::{char_solves, clear_store};
+use xtalk::sta::{CharStore, Edit, IncrementalSta};
+use xtalk::wave::macromodel::{char_solves, clear_store, prewarm_library, stats};
 
 /// Max-delay analyses where the fast path may engage (mirrors
 /// `tests/macromodel.rs`).
@@ -46,6 +47,10 @@ fn design(seed: u64) -> Design {
     let library = Library::c05um(&process);
     let netlist = xtalk::netlist::generator::generate(&GeneratorConfig::small(seed), &library)
         .expect("generate");
+    placed(netlist, library, process)
+}
+
+fn placed(netlist: xtalk::netlist::Netlist, library: Library, process: Process) -> Design {
     let placement = xtalk::layout::place::place(&netlist, &library, &process);
     let routes = xtalk::layout::route::route(&netlist, &placement, &process);
     let parasitics = xtalk::layout::extract::extract(&netlist, &routes, &process);
@@ -57,22 +62,31 @@ fn design(seed: u64) -> Design {
     }
 }
 
-/// Builds an analyzer from an emptied model store and runs every
-/// max-delay mode, returning the per-mode reports.
-fn run_all(d: &Design, config: ExecConfig) -> Vec<ModeReport> {
-    clear_store();
+/// Builds an analyzer over whatever the model store holds and runs every
+/// max-delay mode, returning the per-mode reports, the characterization
+/// solves the build paid and the design's distinct characterizable arcs.
+fn run_all(d: &Design, config: ExecConfig) -> (Vec<ModeReport>, usize, usize) {
+    let before = char_solves();
     let sta =
         Sta::with_config(&d.netlist, &d.library, &d.process, &d.parasitics, config).expect("sta");
-    MAX_MODES
+    let paid = char_solves() - before;
+    let arcs = sta
+        .graph()
+        .cell_stages()
+        .flat_map(|cs| cs.arcs.iter().flatten())
+        .filter(|arc| arc.key.is_some())
+        .count();
+    let reports = MAX_MODES
         .iter()
         .map(|&mode| sta.analyze(mode).expect("analysis"))
-        .collect()
+        .collect();
+    (reports, paid, arcs)
 }
 
 /// Full-bit equality of two reports: the headline delay and every
-/// endpoint arrival. Counters are deliberately not compared — a lazy run
-/// legitimately characterizes fewer arcs than a prewarm run; it must not
-/// *serve* different bits.
+/// endpoint arrival. Counters are deliberately not compared — a design-
+/// driven build legitimately characterizes fewer arcs than a library-wide
+/// sweep; it must not *serve* different bits.
 fn assert_bits_equal(a: &ModeReport, b: &ModeReport, what: &str) {
     assert_eq!(
         a.longest_delay.to_bits(),
@@ -104,56 +118,153 @@ fn tmp_store(tag: &str) -> PathBuf {
     ))
 }
 
-/// Lazy characterization must route and serve exactly as prewarm, mode by
-/// mode, on the serial engine and on the worker pool: the schedules build
-/// the same arc universe from the same deterministic sweep, so when a
-/// model is built cannot show in the bits.
+/// Characterizing only the design's arcs must serve exactly the bits a
+/// library-wide sweep serves, mode by mode, on the serial engine and on
+/// the worker pool: both build each arc the design binds by the same
+/// deterministic sweep. Cold builds are deterministic in cost too: two of
+/// them pay equal characterization solves, and the store one writes
+/// replays exactly the design's distinct arcs.
 #[test]
-fn lazy_matches_prewarm_bit_for_bit_serial_and_threaded() {
+fn design_driven_matches_library_wide_bit_for_bit_serial_and_threaded() {
     let _guard = store_lock();
     let d = design(4242);
-    let store = tmp_store("lazy");
+    let store = tmp_store("design");
     let _ = std::fs::remove_file(&store);
 
-    // Reference arm: serial prewarm, persisted so the threaded prewarm
-    // arm replays instead of paying a second full characterization.
-    let prewarm_serial = run_all(
+    clear_store();
+    let (serial, serial_paid, arcs) = run_all(
         &d,
         ExecConfig::serial().with_char_store(Some(store.clone())),
     );
-    let prewarm_threaded = run_all(
-        &d,
-        ExecConfig::serial()
-            .with_threads(4)
-            .with_char_store(Some(store.clone())),
+    clear_store();
+    let (threaded, threaded_paid, _) = run_all(&d, ExecConfig::serial().with_threads(4));
+    // Reference arm: every library arc characterized before the build.
+    clear_store();
+    prewarm_library(&d.process, &d.library, 4);
+    let library_arcs = stats().models;
+    let (library_wide, library_paid, _) = run_all(&d, ExecConfig::serial());
+
+    assert!(serial_paid > 0, "the cold build characterized nothing");
+    assert_eq!(
+        serial_paid, threaded_paid,
+        "two cold builds paid different characterization solves"
     );
-    let lazy_serial = run_all(
-        &d,
-        ExecConfig::serial().with_characterize(CharacterizeMode::Lazy),
+    assert_eq!(
+        library_paid, 0,
+        "a library-wide sweep left a design arc out"
     );
-    let lazy_threaded = run_all(
-        &d,
-        ExecConfig::serial()
-            .with_threads(4)
-            .with_characterize(CharacterizeMode::Lazy),
+    assert!(
+        arcs < library_arcs,
+        "the design binds every library arc ({arcs}); the comparison is vacuous"
     );
+    let replayed = CharStore::open(&store).expect("open").load().expect("load");
     let _ = std::fs::remove_file(&store);
+    assert_eq!(
+        replayed.models as usize, arcs,
+        "the store holds other than the design's arcs"
+    );
 
     let mut any_hits = 0usize;
     for (i, mode) in MAX_MODES.iter().enumerate() {
-        any_hits += prewarm_serial[i].table_hits;
-        for (arm, reports) in [
-            ("prewarm threaded", &prewarm_threaded),
-            ("lazy serial", &lazy_serial),
-            ("lazy threaded", &lazy_threaded),
-        ] {
-            assert_bits_equal(&prewarm_serial[i], &reports[i], &format!("{mode} vs {arm}"));
+        any_hits += library_wide[i].table_hits;
+        for (arm, reports) in [("design serial", &serial), ("design threaded", &threaded)] {
+            assert_bits_equal(&library_wide[i], &reports[i], &format!("{mode} vs {arm}"));
         }
     }
     assert!(
         any_hits > 0,
-        "tables never engaged; the schedule-identity assertions are vacuous"
+        "tables never engaged; the identity assertions are vacuous"
     );
+}
+
+/// An ECO that brings in a cell the design never used characterizes that
+/// cell's arcs when it is applied — and only then: the post-ECO analysis
+/// equals a fresh batch run bit for bit with the new arcs answered through
+/// their tables, a second edit to the same cell pays nothing, and so does
+/// a fresh analyzer of the edited design over the same store.
+#[test]
+fn eco_to_an_unused_cell_binds_its_arcs_and_matches_batch() {
+    let _guard = store_lock();
+    let process = Process::c05um();
+    let library = Library::c05um(&process);
+    let netlist = xtalk::netlist::bench::parse(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n\
+         w = NOT(a)\nx = NAND(w, b)\ny = NOT(x)\nz = NOT(w)\n",
+        &library,
+    )
+    .expect("parse");
+    assert!(netlist.gates().iter().all(|g| g.cell != "INVX8"));
+    let d = placed(netlist, library, process);
+    let store = tmp_store("eco");
+    let _ = std::fs::remove_file(&store);
+    let config = || ExecConfig::serial().with_char_store(Some(store.clone()));
+    let mode = AnalysisMode::OneStep;
+
+    clear_store();
+    let mut eco = IncrementalSta::with_config(
+        d.netlist.clone(),
+        &d.library,
+        &d.process,
+        d.parasitics.clone(),
+        config(),
+    )
+    .expect("eco");
+    eco.analyze(mode).expect("baseline");
+
+    let before = char_solves();
+    eco.apply(&Edit::parse_line("resize g_y INVX8", 1).expect("edit"))
+        .expect("resize");
+    assert!(
+        char_solves() > before,
+        "the new cell's arcs were not characterized on apply"
+    );
+    let report = eco.analyze(mode).expect("post-eco");
+    assert!(report.stage_solves > 0, "the edit re-timed nothing");
+    assert_eq!(
+        report.table_hits, report.stage_solves,
+        "a solve of the edited cone was not a table hit"
+    );
+    let batch = Sta::with_config(
+        eco.netlist(),
+        &d.library,
+        &d.process,
+        eco.parasitics(),
+        config(),
+    )
+    .expect("batch")
+    .analyze(mode)
+    .expect("batch analysis");
+    assert_bits_equal(&batch, &report, "incremental vs batch after the resize");
+
+    let before = char_solves();
+    eco.apply(&Edit::parse_line("resize g_z INVX8", 2).expect("edit"))
+        .expect("second resize");
+    let again = eco.analyze(mode).expect("second post-eco");
+    assert_eq!(
+        char_solves(),
+        before,
+        "a second INVX8 resize paid grid solves"
+    );
+
+    clear_store();
+    let before = char_solves();
+    let fresh = Sta::with_config(
+        eco.netlist(),
+        &d.library,
+        &d.process,
+        eco.parasitics(),
+        config(),
+    )
+    .expect("fresh")
+    .analyze(mode)
+    .expect("fresh analysis");
+    assert_eq!(
+        char_solves(),
+        before,
+        "a fresh analyzer over the store paid grid solves"
+    );
+    assert_bits_equal(&fresh, &again, "fresh analyzer vs incremental");
+    let _ = std::fs::remove_file(&store);
 }
 
 /// A second analyzer build against a populated store must replay every
