@@ -25,7 +25,7 @@
 //! u8 kind = 1
 //! u64 key        — macromodel::arc_key (GRID_VERSION + corner-sig keyed)
 //! u64 reserved   — written as zero, ignored on read
-//! model bytes    — ArcModel::to_bytes (fixed-length format v1)
+//! model bytes    — ArcModel::to_bytes (fixed-length, format v2)
 //! ```
 //!
 //! Kind 2 — one cell's liberty characterization tables:
@@ -412,15 +412,11 @@ mod tests {
     /// here would be slow, and the store treats model bytes as opaque
     /// beyond `ArcModel::from_bytes` validation.
     fn model_bytes(tag: u64) -> Vec<u8> {
-        use xtalk_wave::macromodel::{GRID_LOADS, GRID_RATIOS, GRID_SLEWS};
-        // The format-v1 byte length: header + 11 scalars + two quiet
-        // slices + two active slices of four tables each.
-        let (ns, nl, nr) = (GRID_SLEWS.len(), GRID_LOADS.len(), GRID_RATIOS.len());
-        let len = 2 + 11 * 8 + 2 * 4 * (ns * nl) * 8 + 2 * 4 * (nr * ns * nl) * 8;
-        let mut bytes = vec![0u8; len];
-        bytes[0] = 1; // format version
-        bytes[1] = 0; // usable = false (defaults decode finite)
-                      // Stamp the tag into the first scalar so records differ.
+        use xtalk_wave::macromodel::{MODEL_FORMAT, MODEL_LEN};
+        // Zero served rows (an unusable model); zero doubles decode finite.
+        let mut bytes = vec![0u8; MODEL_LEN];
+        bytes[0] = MODEL_FORMAT;
+        // Stamp the tag into the first scalar so records differ.
         bytes[2..10].copy_from_slice(&(tag as f64).to_le_bytes());
         bytes
     }

@@ -1231,6 +1231,7 @@ fn cmd_stats(shared: &Shared) -> Json {
             let mut fields = vec![
                 ("models", Json::num(m.models as f64)),
                 ("usable", Json::num(m.usable as f64)),
+                ("trimmed", Json::num(m.trimmed as f64)),
                 ("table_hits", Json::num(work.table_hits as f64)),
                 ("table_fallbacks", Json::num(work.table_fallbacks as f64)),
                 ("char_solves", Json::num(m.char_solves as f64)),

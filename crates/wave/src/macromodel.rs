@@ -26,12 +26,16 @@
 //!   never optimistic for max-delay analysis. The worst *pessimistic*
 //!   residual plus the pad is the arc's certified bound — how far on the
 //!   conservative side of the transistor solve a padded answer can land.
-//! - **Bounded-error admission.** An arc whose certified bounds exceed the
-//!   admission tolerances ([`TOL_DELAY`], [`TOL_SLEW`], [`TOL_AUX`]) is
-//!   marked unusable and every query falls back to the full Newton solve,
-//!   as does any query outside the grid, with two or more active
-//!   couplings, with an assisting coupling, or with an unclassifiable
-//!   input shape.
+//! - **Bounded-error admission.** Validation residuals are kept per slew
+//!   row (the grid cell between two adjacent [`GRID_SLEWS`] points). An
+//!   arc serves the longest prefix of rows, fastest first, whose residuals
+//!   pooled over exactly those rows keep every certified bound within the
+//!   admission tolerances ([`TOL_DELAY`], [`TOL_SLEW`], [`TOL_AUX`]); the
+//!   pads come from the same pool. A query at or above the first trimmed
+//!   row falls back to the full Newton solve, as does every query of an arc
+//!   that serves no row, and any query outside the grid, with an assisting
+//!   coupling, breaking the family rule or with an unclassifiable input
+//!   shape.
 //!
 //! Models live in a process-global store keyed by a stable hash of the
 //! process, cell, stage, switching slot, output direction and side values
@@ -90,7 +94,8 @@ const PAD_FLOOR: f64 = 0.1e-12;
 /// Table format / grid revision, part of every arc key.
 /// v5: the process token carries the PVT corner signature, so tables
 /// characterized at one corner are never served at another.
-const GRID_VERSION: u64 = 5;
+/// v6: a model serves a certified prefix of slew rows (model format v2).
+const GRID_VERSION: u64 = 6;
 /// Minimum time separation between synthesized waveform points.
 const EPS_T: f64 = 1e-13;
 
@@ -98,10 +103,18 @@ const NS: usize = GRID_SLEWS.len();
 const NL: usize = GRID_LOADS.len();
 const NR: usize = GRID_RATIOS.len();
 
-/// Serialized length of one format-v1 [`ArcModel`]: version and usable
-/// bytes, 11 scalar doubles, two quiet slices and two active slices of
-/// four tables each.
-const MODEL_V1_LEN: usize = 2 + 11 * 8 + 2 * 4 * (NS * NL) * 8 + 2 * 4 * (NR * NS * NL) * 8;
+/// Slew rows: row `i` is the grid cell between `GRID_SLEWS[i]` and
+/// `GRID_SLEWS[i + 1]`.
+pub const SLEW_ROWS: usize = NS - 1;
+
+/// The serialized model format, byte 0 of every [`ArcModel::to_bytes`].
+/// v2: byte 1 is the served slew-row count (v1 had a usable flag there).
+pub const MODEL_FORMAT: u8 = 2;
+
+/// Serialized length of one [`ArcModel`]: format and served-row bytes, 11
+/// scalar doubles, two quiet slices and two active slices of four tables
+/// each.
+pub const MODEL_LEN: usize = 2 + 11 * 8 + 2 * 4 * (NS * NL) * 8 + 2 * 4 * (NR * NS * NL) * 8;
 
 /// The two input/output waveform classes the solver produces.
 ///
@@ -131,7 +144,8 @@ pub const FALLBACK_REASONS: usize = 5;
 pub enum FallbackReason {
     /// The total (or sub-floor base) load sits off the load grid.
     OutOfGridLoad = 0,
-    /// The input slew sits off the slew grid.
+    /// The input slew sits outside the arc's certified slew range: off the
+    /// slew grid, or at or above the first slew row the arc does not serve.
     OutOfGridSlew = 1,
     /// The load carries an assisting (or malformed) coupling.
     AssistingCoupling = 2,
@@ -210,6 +224,18 @@ struct Sample {
     qoff: f64,
 }
 
+impl Sample {
+    /// Combines two samples feature by feature.
+    fn zip(&self, o: &Sample, f: impl Fn(f64, f64) -> f64) -> Sample {
+        Sample {
+            delay: f(self.delay, o.delay),
+            slew: f(self.slew, o.slew),
+            aoff: f(self.aoff, o.aoff),
+            qoff: f(self.qoff, o.qoff),
+        }
+    }
+}
+
 /// One shape's tables over `[ratio][slew][load]` (`nr == 1` for the quiet
 /// slice).
 #[derive(Debug, Clone, Default)]
@@ -223,7 +249,9 @@ struct SliceTables {
 /// A characterized timing arc: interpolation tables plus certified pads.
 #[derive(Debug, Clone, Default)]
 pub struct ArcModel {
-    usable: bool,
+    /// Slew rows served, counted from the fastest (`0..=SLEW_ROWS`); the
+    /// pads certify exactly these rows.
+    rows: usize,
     vdd: f64,
     vth: f64,
     th: f64,
@@ -249,6 +277,8 @@ pub struct StoreStats {
     pub models: usize,
     /// Models that passed bounded-error admission.
     pub usable: usize,
+    /// Usable models that serve fewer than [`SLEW_ROWS`] slew rows.
+    pub trimmed: usize,
     /// Lifetime characterization Newton solves performed by
     /// [`characterize_arc`] (grid sweep plus validation probes) — the cost
     /// the characterization store amortizes away.
@@ -256,9 +286,17 @@ pub struct StoreStats {
 }
 
 impl ArcModel {
-    /// Whether the arc passed bounded-error admission.
+    /// Whether the arc passed bounded-error admission: it serves at least
+    /// one slew row.
     pub fn usable(&self) -> bool {
-        self.usable
+        self.rows > 0
+    }
+
+    /// The slew rows this arc serves, counted from the fastest: queries
+    /// with an input slew below `GRID_SLEWS[served_rows()]` (or anywhere on
+    /// the grid when it serves all [`SLEW_ROWS`]).
+    pub fn served_rows(&self) -> usize {
+        self.rows
     }
 
     /// The certified delay bound: on the validation sample, reported table
@@ -275,13 +313,13 @@ impl ArcModel {
     }
 
     /// Serializes the model for the on-disk characterization store:
-    /// format v1, fixed length, little-endian doubles. The byte image is a
-    /// pure function of the table contents, so identical models serialize
-    /// identically on every platform.
+    /// [`MODEL_FORMAT`], [`MODEL_LEN`] bytes, little-endian doubles. The
+    /// byte image is a pure function of the table contents, so identical
+    /// models serialize identically on every platform.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MODEL_V1_LEN);
-        out.push(1u8);
-        out.push(self.usable as u8);
+        let mut out = Vec::with_capacity(MODEL_LEN);
+        out.push(MODEL_FORMAT);
+        out.push(self.rows as u8);
         for x in [
             self.vdd,
             self.vth,
@@ -307,10 +345,11 @@ impl ArcModel {
         out
     }
 
-    /// Deserializes a format-v1 model, or `None` when the bytes are not a
-    /// well-formed record of the exact expected length with finite values
-    /// throughout — the store treats `None` as corruption: skip the
-    /// record and re-characterize, never serve it.
+    /// Deserializes a [`MODEL_FORMAT`] model, or `None` when the bytes are
+    /// not a well-formed record of the exact expected length, with a served
+    /// row count of at most [`SLEW_ROWS`] and finite values throughout —
+    /// the store treats `None` as corruption: skip the record and
+    /// re-characterize, never serve it.
     pub fn from_bytes(bytes: &[u8]) -> Option<ArcModel> {
         fn read_f64(bytes: &[u8], at: &mut usize) -> Option<f64> {
             let head: [u8; 8] = bytes.get(*at..*at + 8)?.try_into().ok()?;
@@ -335,10 +374,10 @@ impl ArcModel {
                 qoff,
             })
         }
-        if bytes.len() != MODEL_V1_LEN || bytes[0] != 1 || bytes[1] > 1 {
+        if bytes.len() != MODEL_LEN || bytes[0] != MODEL_FORMAT || bytes[1] as usize > SLEW_ROWS {
             return None;
         }
-        let usable = bytes[1] == 1;
+        let rows = bytes[1] as usize;
         let mut at = 2usize;
         let mut scalars = [0.0f64; 11];
         for s in &mut scalars {
@@ -355,7 +394,7 @@ impl ArcModel {
         let [vdd, vth, th, slo, shi, pad_delay, pad_slew, pad_aoff, pad_qoff, cert_delay, cert_slew] =
             scalars;
         Some(ArcModel {
-            usable,
+            rows,
             vdd,
             vth,
             th,
@@ -391,7 +430,7 @@ impl ArcModel {
         load: &Load,
         out_rising: bool,
     ) -> Result<Waveform, FallbackReason> {
-        if !self.usable {
+        if !self.usable() {
             return Err(FallbackReason::Shape);
         }
         // The solver inverts: the input must run opposite to the output.
@@ -406,7 +445,11 @@ impl ArcModel {
             .ok_or(FallbackReason::Shape)?;
         let t_in = in_wave.crossing(self.th).ok_or(FallbackReason::Shape)?;
         let (ctot, ratio) = fold_load(load)?;
-        let (si, fs) = axis(&GRID_SLEWS, slew_in).ok_or(FallbackReason::OutOfGridSlew)?;
+        // Row `si` holds the slew, so a slew at or above the first trimmed
+        // row's lower edge is declined.
+        let (si, fs) = axis(&GRID_SLEWS, slew_in)
+            .filter(|&(si, _)| si < self.rows)
+            .ok_or(FallbackReason::OutOfGridSlew)?;
         let (li, fl) = axis(&GRID_LOADS, ctot).ok_or(FallbackReason::OutOfGridLoad)?;
         let sh = shape as usize;
         let sample = match ratio {
@@ -720,9 +763,10 @@ fn cummax(vals: &mut [f64], nr: usize, along_ratio: bool) {
 }
 
 /// Characterizes one timing arc against the transistor solver and
-/// certifies its interpolation error on a validation grid. Returns an
-/// unusable model (every lookup falls back) when the arc does not sweep
-/// cleanly or its certified pads exceed the admission tolerances.
+/// certifies its interpolation error on a validation grid. The model
+/// serves the longest prefix of slew rows whose certified bounds meet the
+/// admission tolerances; it is unusable (every lookup falls back) when the
+/// arc does not sweep cleanly or not even the fastest row certifies.
 pub fn characterize_arc(
     process: &Process,
     stage: &Stage,
@@ -806,7 +850,7 @@ pub fn characterize_arc(
     }
 
     let mut model = ArcModel {
-        usable: true,
+        rows: 0,
         vdd: v.vdd,
         vth: v.vth,
         th: v.th,
@@ -840,18 +884,15 @@ pub fn characterize_arc(
         }
     }
 
-    // Signed residual envelope: `lo.x` is the worst `truth − interp`
-    // (table too early/narrow), `hi.x` the worst `interp − truth`.
-    let mut err_lo = Sample::default();
-    let mut err_hi = Sample::default();
-    let mut checked = 0usize;
-    let mut check = |scratch: &mut StageScratch,
-                     model: &ArcModel,
-                     err_lo: &mut Sample,
-                     err_hi: &mut Sample,
-                     input: &Waveform,
-                     l: f64,
-                     ratio: Option<f64>|
+    // One residual envelope per slew row: each probe widens the row its
+    // input slew falls in.
+    let mut rows = [Envelope::default(); SLEW_ROWS];
+    let check = |scratch: &mut StageScratch,
+                 model: &ArcModel,
+                 rows: &mut [Envelope; SLEW_ROWS],
+                 input: &Waveform,
+                 l: f64,
+                 ratio: Option<f64>|
      -> Option<()> {
         let shape = model.classify(input, in_rising)?;
         let slew_in = input.slew(v.slo, v.shi)?;
@@ -886,30 +927,14 @@ pub fn characterize_arc(
             .solve_with(scratch, stage, slot, input, side, &load)
             .ok()?;
         let truth = measure(&v, out_rising, t_in, &out.wave)?;
-        err_lo.delay = err_lo.delay.max(truth.delay - interp.delay);
-        err_lo.slew = err_lo.slew.max(truth.slew - interp.slew);
-        err_lo.aoff = err_lo.aoff.max(truth.aoff - interp.aoff);
-        err_lo.qoff = err_lo.qoff.max(truth.qoff - interp.qoff);
-        err_hi.delay = err_hi.delay.max(interp.delay - truth.delay);
-        err_hi.slew = err_hi.slew.max(interp.slew - truth.slew);
-        err_hi.aoff = err_hi.aoff.max(interp.aoff - truth.aoff);
-        err_hi.qoff = err_hi.qoff.max(interp.qoff - truth.qoff);
-        checked += 1;
+        rows[si].widen(&truth, &interp);
         Some(())
     };
 
     for &(shape, s, l, ratio) in &probes {
         let t_cross = 4.0 * s + 1e-9;
         if let Some(input) = ramp_input(&v, in_rising, shape, s, t_cross) {
-            let _ = check(
-                &mut scratch,
-                &model,
-                &mut err_lo,
-                &mut err_hi,
-                &input,
-                l,
-                ratio,
-            );
+            let _ = check(&mut scratch, &model, &mut rows, &input, l, ratio);
         }
     }
     // Realistic-shape probes: the arc's own solver outputs, mirrored into
@@ -927,41 +952,76 @@ pub fn characterize_arc(
             for factor in [1.0, 1.3] {
                 let probe = as_input.stretched_around(v.th, factor);
                 for &(lp, rp) in &[(mid_l[1], None), (mid_l[3], Some(mid_r[1]))] {
-                    let _ = check(
-                        &mut scratch,
-                        &model,
-                        &mut err_lo,
-                        &mut err_hi,
-                        &probe,
-                        lp,
-                        rp,
-                    );
+                    let _ = check(&mut scratch, &model, &mut rows, &probe, lp, rp);
                 }
             }
         }
     }
 
-    if checked == 0 {
-        return ArcModel::default();
+    // Serve the longest prefix of slew rows, fastest first, whose residuals
+    // pooled over exactly those rows certify, with that pool's pads and
+    // bounds: a slow row the tables interpolate badly is trimmed instead of
+    // rejecting the arc, and its residuals pad no served query. A pool only
+    // grows with its prefix, so counting down finds the longest one; a row
+    // no probe landed in ends the prefix.
+    let mut served = rows.iter().take_while(|r| r.probes > 0).count();
+    while served > 0 && !model.certify(&Envelope::pooled(&rows[..served])) {
+        served -= 1;
     }
-    // Pads cover the optimistic side (so padded answers are never early /
-    // narrow); the certified bound adds the worst pessimistic residual on
-    // top — the total distance a padded answer can sit above the truth.
-    // For `aoff` the conservative direction is *earlier* band entry, so
-    // its pad covers the `hi` side and its excess the `lo` side.
-    model.pad_delay = PAD_MARGIN * err_lo.delay + PAD_FLOOR;
-    model.pad_slew = PAD_MARGIN * err_lo.slew + PAD_FLOOR;
-    model.pad_aoff = PAD_MARGIN * err_hi.aoff + PAD_FLOOR;
-    model.pad_qoff = PAD_MARGIN * err_lo.qoff + PAD_FLOOR;
-    model.cert_delay = model.pad_delay + PAD_MARGIN * err_hi.delay + PAD_FLOOR;
-    model.cert_slew = model.pad_slew + PAD_MARGIN * err_hi.slew + PAD_FLOOR;
-    let cert_aoff = model.pad_aoff + PAD_MARGIN * err_lo.aoff + PAD_FLOOR;
-    let cert_qoff = model.pad_qoff + PAD_MARGIN * err_hi.qoff + PAD_FLOOR;
-    model.usable = model.cert_delay <= TOL_DELAY
-        && model.cert_slew <= TOL_SLEW
-        && cert_aoff <= TOL_AUX
-        && cert_qoff <= TOL_AUX;
+    model.rows = served;
     model
+}
+
+/// Signed residual envelope of a set of validation probes: `lo.x` is the
+/// worst `truth − interp` (table too early/narrow), `hi.x` the worst
+/// `interp − truth`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Envelope {
+    lo: Sample,
+    hi: Sample,
+    probes: usize,
+}
+
+impl Envelope {
+    fn widen(&mut self, truth: &Sample, interp: &Sample) {
+        self.lo = self.lo.zip(&truth.zip(interp, |t, i| t - i), f64::max);
+        self.hi = self.hi.zip(&interp.zip(truth, |i, t| i - t), f64::max);
+        self.probes += 1;
+    }
+
+    /// The envelope of every probe of `rows` together.
+    fn pooled(rows: &[Envelope]) -> Envelope {
+        rows.iter().fold(Envelope::default(), |pool, r| Envelope {
+            lo: pool.lo.zip(&r.lo, f64::max),
+            hi: pool.hi.zip(&r.hi, f64::max),
+            probes: pool.probes + r.probes,
+        })
+    }
+}
+
+impl ArcModel {
+    /// Sets the pads and certified bounds from `e`, and reports whether
+    /// every certified bound is within its admission tolerance.
+    fn certify(&mut self, e: &Envelope) -> bool {
+        // Pads cover the optimistic side (so padded answers are never
+        // early / narrow); the certified bound adds the worst pessimistic
+        // residual on top — the total distance a padded answer can sit
+        // above the truth. For `aoff` the conservative direction is
+        // *earlier* band entry, so its pad covers the `hi` side and its
+        // excess the `lo` side.
+        self.pad_delay = PAD_MARGIN * e.lo.delay + PAD_FLOOR;
+        self.pad_slew = PAD_MARGIN * e.lo.slew + PAD_FLOOR;
+        self.pad_aoff = PAD_MARGIN * e.hi.aoff + PAD_FLOOR;
+        self.pad_qoff = PAD_MARGIN * e.lo.qoff + PAD_FLOOR;
+        self.cert_delay = self.pad_delay + PAD_MARGIN * e.hi.delay + PAD_FLOOR;
+        self.cert_slew = self.pad_slew + PAD_MARGIN * e.hi.slew + PAD_FLOOR;
+        let cert_aoff = self.pad_aoff + PAD_MARGIN * e.lo.aoff + PAD_FLOOR;
+        let cert_qoff = self.pad_qoff + PAD_MARGIN * e.hi.qoff + PAD_FLOOR;
+        self.cert_delay <= TOL_DELAY
+            && self.cert_slew <= TOL_SLEW
+            && cert_aoff <= TOL_AUX
+            && cert_qoff <= TOL_AUX
+    }
 }
 
 /// Voltage mirror `(t, v) → (t, vdd − v)`: flips a waveform's direction
@@ -1108,7 +1168,11 @@ pub fn stats() -> StoreStats {
     let guard = store().read().unwrap_or_else(|e| e.into_inner());
     StoreStats {
         models: guard.len(),
-        usable: guard.values().filter(|m| m.usable).count(),
+        usable: guard.values().filter(|m| m.usable()).count(),
+        trimmed: guard
+            .values()
+            .filter(|m| m.usable() && m.rows < SLEW_ROWS)
+            .count(),
         char_solves: CHAR_SOLVES.load(Ordering::Relaxed),
     }
 }
@@ -1265,10 +1329,48 @@ mod tests {
             for out_rising in [false, true] {
                 let (_, model) = arc(cell, slot, out_rising);
                 assert!(model.usable(), "{cell} slot {slot} rising {out_rising}");
+                assert_eq!(model.served_rows(), SLEW_ROWS, "{cell} is not trimmed");
                 assert!(model.certified_delay_bound() <= TOL_DELAY);
                 assert!(model.certified_slew_bound() <= TOL_SLEW);
             }
         }
+    }
+
+    /// An arc whose slowest slew row fails the quiescent-offset tolerance
+    /// serves the six rows below it instead of falling back everywhere.
+    #[test]
+    fn slow_row_is_trimmed_not_the_arc() {
+        let (process, model) = arc("NAND4X1", 3, false);
+        assert_eq!(model.served_rows(), SLEW_ROWS - 1);
+        assert!(model.certified_delay_bound() <= TOL_DELAY);
+        assert!(model.certified_slew_bound() <= TOL_SLEW);
+        let v = Volts::of(&process).expect("ladder");
+        let load = Load::grounded(20e-15);
+        // At or above the first trimmed row: declined.
+        for slew in [GRID_SLEWS[SLEW_ROWS - 1], 1600e-12] {
+            let input = ramp_input(&v, true, InputShape::Full, slew, 8e-9).expect("input");
+            assert_eq!(
+                model.lookup_classified(&input, &load, false),
+                Err(FallbackReason::OutOfGridSlew),
+                "slew {slew}"
+            );
+        }
+        // Inside row 5: answered, and never earlier than the transistor
+        // solve of the same query.
+        let library = Library::c05um(&process);
+        let stage = &library.cell("NAND4X1").expect("cell").stages[0];
+        let side = sensitize::side_values(stage, 3, false, process.vdd).expect("side");
+        let input = ramp_input(&v, true, InputShape::Full, 1000e-12, 8e-9).expect("input");
+        let table = model.lookup(&input, &load, false).expect("row 5 served");
+        let truth = StageSolver::new(&process)
+            .solve(stage, 3, &input, &side, load)
+            .expect("newton truth");
+        let t_table = table.crossing(v.th).expect("table crossing");
+        let t_true = truth.wave.crossing(v.th).expect("true crossing");
+        assert!(t_table >= t_true, "optimistic: {t_table} < {t_true}");
+        // The served range survives the store's byte image.
+        let back = ArcModel::from_bytes(&model.to_bytes()).expect("well-formed");
+        assert_eq!(back.served_rows(), SLEW_ROWS - 1);
     }
 
     #[test]
@@ -1474,10 +1576,10 @@ mod tests {
     fn serialized_model_roundtrips_bitwise() {
         let (_, model) = arc("NAND2X1", 0, true);
         let bytes = model.to_bytes();
-        assert_eq!(bytes.len(), MODEL_V1_LEN);
+        assert_eq!(bytes.len(), MODEL_LEN);
         let back = ArcModel::from_bytes(&bytes).expect("well-formed record");
         assert_eq!(back.to_bytes(), bytes, "roundtrip must be bitwise stable");
-        assert_eq!(back.usable(), model.usable());
+        assert_eq!(back.served_rows(), model.served_rows());
         assert_eq!(
             back.certified_delay_bound().to_bits(),
             model.certified_delay_bound().to_bits()
@@ -1500,15 +1602,19 @@ mod tests {
     fn malformed_model_bytes_are_rejected() {
         let (_, model) = arc("INVX1", 0, false);
         let bytes = model.to_bytes();
-        // Truncated, extended, version-flipped and non-finite images all
-        // decode to None (store corruption policy: skip, re-characterize).
+        // Truncated, extended, version-flipped, over-served and non-finite
+        // images all decode to None (store corruption policy: skip,
+        // re-characterize).
         assert!(ArcModel::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(ArcModel::from_bytes(&longer).is_none());
         let mut wrong_version = bytes.clone();
-        wrong_version[0] = 2;
+        wrong_version[0] = 1;
         assert!(ArcModel::from_bytes(&wrong_version).is_none());
+        let mut too_many_rows = bytes.clone();
+        too_many_rows[1] = SLEW_ROWS as u8 + 1;
+        assert!(ArcModel::from_bytes(&too_many_rows).is_none());
         let mut nan = bytes;
         nan[2..10].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(ArcModel::from_bytes(&nan).is_none());

@@ -295,6 +295,10 @@ const INJECT_FLAGS: &[&str] = if cfg!(feature = "fault-injection") {
     &[]
 };
 
+/// The flags that take no value: the argument after one is never read as
+/// its value, so `report --bits design.bench` keeps its netlist.
+const SWITCHES: &[&str] = &["bits", "glitch", "strict", "signoff", "check"];
+
 /// Parsed `--name [value]` flags, in command-line order.
 type Flags<'a> = Vec<(&'a str, Option<&'a str>)>;
 
@@ -319,7 +323,7 @@ fn split_flags<'a>(
                 let value = args
                     .get(i + 1)
                     .map(String::as_str)
-                    .filter(|v| !v.starts_with("--"));
+                    .filter(|v| !v.starts_with("--") && !SWITCHES.contains(&name));
                 if value.is_some() {
                     i += 1;
                 }
@@ -464,10 +468,11 @@ fn characterization_summary(store: &Option<std::path::PathBuf>) -> String {
     };
     let m = xtalk_wave::macromodel::stats();
     format!(
-        "characterization: {} grid solves, {} models ({} usable), store {}\n",
+        "characterization: {} grid solves, {} models ({} usable, {} trimmed), store {}\n",
         m.char_solves,
         m.models,
         m.usable,
+        m.trimmed,
         store.display()
     )
 }
@@ -857,6 +862,7 @@ fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
     let config = exec_config(&flags)?;
+    let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     let script = std::fs::read_to_string(script_path)?;
 
@@ -922,6 +928,8 @@ fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
         }
         let _ = writeln!(out, "check: incremental result matches batch re-analysis");
     }
+    // Last, so the count includes the arcs the edits brought in.
+    out.push_str(&characterization_summary(&char_store));
     Ok((out, report.worst_severity()))
 }
 
@@ -1286,9 +1294,10 @@ fn render_client_response(action: &str, resp: &xtalk_sta::serve::Json) -> String
                 let n = |key: &str| mm.get(key).and_then(Json::as_u64).unwrap_or(0);
                 let _ = writeln!(
                     out,
-                    "macromodel: {} models ({} usable), {} table hits, {} fallbacks",
+                    "macromodel: {} models ({} usable, {} trimmed), {} table hits, {} fallbacks",
                     n("models"),
                     n("usable"),
+                    n("trimmed"),
                     n("table_hits"),
                     n("table_fallbacks")
                 );
@@ -1430,6 +1439,10 @@ mod tests {
             mask_runtime(&r),
             "alias output must be identical"
         );
+        // A switch never takes the netlist after it as its value.
+        let lead =
+            run(&argv(&["report", "--bits", &bench, "--mode", "best"])).expect("--bits first");
+        assert_eq!(mask_runtime(&lead), mask_runtime(&r));
     }
 
     #[test]
@@ -1575,6 +1588,21 @@ mod tests {
         assert!(out.contains("baseline One step:"), "{out}");
         assert!(out.contains("applied 2 edits"), "{out}");
         assert!(out.contains("matches batch"), "{out}");
+        // `--check` leading the positionals is still a switch, and a
+        // `--char-store` run ends with the characterization line.
+        let store = tmp("t6.chars");
+        let out = run(&argv(&[
+            "eco",
+            "--check",
+            &bench,
+            &script,
+            "--char-store",
+            &store,
+        ]))
+        .expect("eco --check first");
+        assert!(out.contains("matches batch"), "{out}");
+        let last = out.lines().last().unwrap_or_default();
+        assert!(last.starts_with("characterization: "), "{out}");
 
         let bad = tmp("t6bad.eco");
         std::fs::write(&bad, "resize no_such_gate INVX4\n").expect("write script");

@@ -15,7 +15,7 @@
 //!    there), so `MinDelay` must match signoff bit for bit.
 
 use xtalk::prelude::*;
-use xtalk::wave::macromodel::{TOL_DELAY, TOL_SLEW};
+use xtalk::wave::macromodel::{SLEW_ROWS, TOL_DELAY, TOL_SLEW};
 
 /// Max-delay analyses where the fast path may engage.
 const MAX_MODES: [AnalysisMode; 5] = [
@@ -63,11 +63,48 @@ fn analyze(d: &Design, mode: AnalysisMode, signoff: bool) -> ModeReport {
 
 #[test]
 fn fast_path_never_optimistic_and_pessimism_bounded() {
-    let d = design(4242);
+    assert_never_optimistic_and_bounded(&design(4242));
+}
+
+/// At `ff` about a quarter of the design's arcs certify only once their
+/// slowest slew row is trimmed. Every characterizable arc must still bind
+/// a model, and the tables they now serve must keep both safety
+/// properties.
+#[test]
+fn ff_corner_binds_every_arc_and_stays_never_optimistic() {
+    let mut d = design(4242);
+    d.process = d.process.corner(&Corner::ff());
+    let sta = Sta::with_config(
+        &d.netlist,
+        &d.library,
+        &d.process,
+        &d.parasitics,
+        ExecConfig::serial(),
+    )
+    .expect("sta");
+    let mut trimmed = 0usize;
+    for cs in sta.graph().cell_stages() {
+        for (slot, pair) in cs.arcs.iter().enumerate() {
+            for arc in pair.iter().filter(|arc| arc.key.is_some()) {
+                let model = arc.model.as_ref().unwrap_or_else(|| {
+                    panic!("{} stage {} slot {slot}: no bound model", cs.cell, cs.stage)
+                });
+                trimmed += usize::from(model.served_rows() < SLEW_ROWS);
+            }
+        }
+    }
+    assert!(trimmed > 0, "no bound model serves a trimmed slew range");
+    assert_never_optimistic_and_bounded(&d);
+}
+
+/// Checks, in every max-delay mode, that each endpoint's fast-path arrival
+/// is never below signoff and at most the certified budget above it, and
+/// that the tables answered some solves.
+fn assert_never_optimistic_and_bounded(d: &Design) {
     let mut any_hits = 0usize;
     for mode in MAX_MODES {
-        let exact = analyze(&d, mode, true);
-        let fast = analyze(&d, mode, false);
+        let exact = analyze(d, mode, true);
+        let fast = analyze(d, mode, false);
         any_hits += fast.table_hits;
         assert_eq!(
             exact.table_hits, 0,
