@@ -184,16 +184,18 @@ impl<'a> Sta<'a> {
         self.exec.config()
     }
 
-    /// Stage-solve cache counters accumulated so far.
+    /// Keyed solve-cache counters: all zeros, because a batch analyzer
+    /// keeps only the per-stage memo (only a store-backed daemon attaches
+    /// a keyed cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.exec.cache_stats()
     }
 
-    /// Drops every stage-solve cache entry (counters keep accumulating).
-    /// Purely a memory/diagnostic control: cached entries are exact-match,
-    /// so clearing never changes any reported arrival.
+    /// Drops every memoized stage solve. Purely a memory/diagnostic
+    /// control: entries are exact-match, so clearing never changes any
+    /// reported arrival.
     pub fn clear_solve_cache(&self) {
-        self.exec.clear_cache();
+        self.exec.memo().clear();
     }
 
     /// Installs (or clears, with `None`) a deterministic fault plan for the
@@ -539,5 +541,60 @@ mod tests {
         assert!(st.get(false).is_some(), "Q fall arrival");
         // Q launches after the clock (buffer-free here, small but positive).
         assert!(st.get(true).expect("rise").crossing > 0.0);
+    }
+
+    /// A keyed cache entry that fails its integrity check is evicted and
+    /// re-solved, never served. Only a store-backed daemon attaches a keyed
+    /// cache, so this attaches one the same way. Signoff keeps the tables
+    /// out, so the faulted and clean runs solve the same inputs.
+    #[test]
+    fn poisoned_cache_entries_are_detected_and_evicted() {
+        use crate::fault::{Fault, FaultPlan};
+        let fingerprint = |r: &ModeReport| -> Vec<u64> {
+            let mut v = vec![r.longest_delay.to_bits(), r.passes as u64];
+            for ep in &r.endpoints {
+                v.push(ep.rise.map_or(u64::MAX, f64::to_bits));
+                v.push(ep.fall.map_or(u64::MAX, f64::to_bits));
+            }
+            v.extend(r.critical_path.iter().map(|step| step.arrival.to_bits()));
+            v
+        };
+        let f = fixture_small(31);
+        let mut sta = Sta::with_config(
+            &f.netlist,
+            &f.library,
+            &f.process,
+            &f.parasitics,
+            ExecConfig::serial().with_signoff(true),
+        )
+        .expect("sta");
+        let free = sta.analyze(AnalysisMode::OneStep).expect("clean analyze");
+
+        // First faulted run corrupts every fresh cache entry as it is
+        // inserted; it bypasses the memo, which the re-read must not hit.
+        sta.exec
+            .attach_cache(std::sync::Arc::new(crate::exec::cache::SolveCache::new()));
+        sta.set_fault_plan(Some(FaultPlan::new(Fault::PoisonedCache, 7, 1)));
+        sta.clear_solve_cache();
+        sta.analyze(AnalysisMode::OneStep).expect("poisoning run");
+
+        // Second run with the plan cleared hits the poisoned entries: every one
+        // must fail its integrity check and be re-solved, never served.
+        sta.set_fault_plan(None);
+        let reread = sta.analyze(AnalysisMode::OneStep).expect("re-read run");
+        assert!(
+            reread
+                .diagnostics
+                .iter()
+                .any(|d| d.fault == crate::diag::FaultClass::CacheCorruption),
+            "expected CacheCorruption diagnostics, got {:?}",
+            reread.diagnostics
+        );
+        // Evict-and-resolve means the numbers match the clean run exactly.
+        assert_eq!(
+            fingerprint(&free),
+            fingerprint(&reread),
+            "corrupted entries must be re-solved, not served"
+        );
     }
 }

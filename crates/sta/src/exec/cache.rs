@@ -1,12 +1,16 @@
-//! The cross-pass stage-solve cache.
+//! The serve daemon's store-backed stage-solve cache.
 //!
 //! A transistor-level stage solve is a pure function of the cell stage
 //! definition, the switching slot, the input waveform, the sensitizing side
 //! values and the driven load (grounded cap + coupling caps with their
 //! treatment). The cache memoizes solves under a key built from exactly
 //! those inputs, so any two solver invocations with bit-identical inputs —
-//! across refinement passes, across [`crate::AnalysisMode`]s, across ECO
-//! graph rebuilds — share one Newton integration.
+//! across sessions, corner replicas, ECO graph rebuilds and, through the
+//! on-disk solve store (`crate::serve::store`), daemon restarts — share one
+//! Newton integration. Batch analyzers build none: inside one analyzer the
+//! per-stage memo (`super::memo`) already answers every repeat, so only a
+//! daemon with a solve store attaches this cache, one instance shared by
+//! all its sessions (DESIGN.md D11).
 //!
 //! Keys are **exact-match**: waveform points and capacitances enter as
 //! canonical IEEE-754 bit patterns ([`xtalk_wave::canon_bits`]; the only
@@ -18,7 +22,7 @@
 //!
 //! The table is sharded by a stable FNV hash of the key so concurrent
 //! wavefront workers rarely contend on one mutex. Each shard holds at most
-//! `capacity / SHARDS` entries; an insert into a full shard clears it
+//! `CAPACITY / SHARDS` entries; an insert into a full shard clears it
 //! (counted as evictions) — simple, and harmless because the cache is only
 //! an accelerator.
 //!
@@ -26,8 +30,9 @@
 //! proven expensive (Newton-iteration cost at or above twice the running
 //! mean, after a 100-solve warm-up). The bulk of cold-run solves never pay
 //! the key construction, checksum and insert, while the expensive deep
-//! solves whose re-solve cost dwarfs the bookkeeping stay cached for ECO
-//! rebuilds and warm re-analysis (DESIGN.md D10).
+//! solves whose re-solve cost dwarfs the bookkeeping are kept — and
+//! journaled for the solve store — for the next session or restart
+//! (DESIGN.md D10).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +44,9 @@ use xtalk_wave::Waveform;
 
 /// Shard count; a power of two keeps the index a mask.
 const SHARDS: usize = 16;
+
+/// Total entry capacity across all shards.
+const CAPACITY: usize = 1 << 20;
 
 /// Hit/miss/evict counters of the stage-solve cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,23 +66,11 @@ pub struct CacheStats {
     pub skipped: u64,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when the cache is idle).
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Exact-match identity of one stage solve.
 ///
 /// Fields are `pub(crate)` so the on-disk solve store (`crate::serve`)
-/// can serialize and rebuild keys without widening the public API.
+/// can serialize and rebuild keys without widening the public API; it
+/// only rebuilds what [`SolveKey::new`] wrote, under the store's checksum.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SolveKey {
     /// Library cell name: the stable identity of the stage definition
@@ -145,33 +141,6 @@ impl SolveKey {
         })
     }
 
-    /// Rebuilds a key from its serialized parts (the on-disk solve store's
-    /// deserialization path). The parts are trusted to be canonical — they
-    /// were produced by [`SolveKey::new`] before being written, and the
-    /// store's checksum guards the bytes in between.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        cell: String,
-        stage: u32,
-        slot: u32,
-        flags: u8,
-        corner: u64,
-        wave: Vec<(u64, u64)>,
-        cground: u64,
-        couplings: Vec<(u64, u8)>,
-    ) -> Self {
-        SolveKey {
-            cell,
-            stage,
-            slot,
-            flags,
-            corner,
-            wave,
-            cground,
-            couplings,
-        }
-    }
-
     /// The admission signature of this key — bit-identical to what
     /// [`admission_sig`] produces for the original solver inputs, so a key
     /// replayed from the on-disk store can re-earn its admission-set entry
@@ -194,19 +163,9 @@ impl SolveKey {
         h.finish()
     }
 
-    /// Stable shard hash (FNV-1a; independent of the std `HashMap` seed).
+    /// Stable shard index (FNV-1a; independent of the std `HashMap` seed).
     fn shard(&self) -> usize {
-        let mut h = StableHasher::new();
-        h.write_bytes(self.cell.as_bytes());
-        h.write_u64(u64::from(self.stage) << 32 | u64::from(self.slot));
-        h.write_u64(u64::from(self.flags));
-        h.write_u64(self.corner);
-        for &(t, v) in &self.wave {
-            h.write_u64(t);
-            h.write_u64(v);
-        }
-        h.write_u64(self.cground);
-        (h.finish() as usize) & (SHARDS - 1)
+        (self.admission_sig() as usize) & (SHARDS - 1)
     }
 }
 
@@ -270,7 +229,7 @@ pub(crate) enum Lookup {
 /// and evicts on mismatch, so a torn or corrupted entry is never served.
 pub(crate) struct SolveCache {
     shards: Vec<Mutex<HashMap<SolveKey, (u64, Waveform)>>>,
-    /// Entry cap per shard; 0 disables the cache entirely.
+    /// Entry cap per shard.
     shard_capacity: usize,
     /// Signatures proven worth caching, sharded by the low signature bits
     /// to keep worker contention negligible.
@@ -285,11 +244,9 @@ pub(crate) struct SolveCache {
     integrity_evictions: AtomicU64,
     admitted_count: AtomicU64,
     skipped: AtomicU64,
-    /// Write-behind journal for the on-disk solve store: when enabled,
-    /// every [`SolveCache::put`] also appends a clone here, and the serve
-    /// daemon drains the journal to the store after each request. The
-    /// atomic flag keeps the disabled (batch CLI) hot path lock-free.
-    journal_on: std::sync::atomic::AtomicBool,
+    /// Write-behind journal for the on-disk solve store: every
+    /// [`SolveCache::put`] also appends a clone here, and the serve daemon
+    /// drains the journal to the store after each request.
     journal: Mutex<Vec<(SolveKey, Waveform)>>,
 }
 
@@ -297,16 +254,15 @@ pub(crate) struct SolveCache {
 const ADMISSION_WARMUP: u64 = 100;
 
 impl SolveCache {
-    /// Builds the cache. `enabled = false` or `capacity = 0` yields a
-    /// disabled cache: every lookup misses without touching a shard.
-    pub(crate) fn new(enabled: bool, capacity: usize) -> Self {
+    /// An empty cache of [`CAPACITY`] entries.
+    pub(crate) fn new() -> Self {
+        Self::with_capacity(CAPACITY)
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
         SolveCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_capacity: if enabled {
-                capacity.div_ceil(SHARDS)
-            } else {
-                0
-            },
+            shard_capacity: capacity.div_ceil(SHARDS),
             admitted: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
             cost_sum: AtomicU64::new(0),
             cost_count: AtomicU64::new(0),
@@ -316,15 +272,8 @@ impl SolveCache {
             integrity_evictions: AtomicU64::new(0),
             admitted_count: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
-            journal_on: std::sync::atomic::AtomicBool::new(false),
             journal: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Turns on the write-behind journal: every subsequent insert is also
-    /// recorded for [`SolveCache::drain_journal`]. Idempotent.
-    pub(crate) fn enable_journal(&self) {
-        self.journal_on.store(true, Ordering::Release);
     }
 
     /// Takes every journaled insert since the last drain, in insert order.
@@ -338,23 +287,24 @@ impl SolveCache {
     /// is exact-match-keyed and checksummed like any live insert, so a
     /// corrupt or stale preload can never change a reported arrival.
     pub(crate) fn preload(&self, key: SolveKey, wave: Waveform) {
-        if !self.enabled() {
-            return;
-        }
-        let sig = key.admission_sig();
+        self.admit(key.admission_sig());
+        self.insert(key, wave.signature(), wave);
+    }
+
+    /// Marks a signature admitted, so lookups for it probe the table.
+    fn admit(&self, sig: u64) {
         lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
+    }
+
+    /// Stores an entry under `checksum`, clearing its shard when full.
+    fn insert(&self, key: SolveKey, checksum: u64, wave: Waveform) {
         let mut shard = lock(&self.shards[key.shard()]);
         if shard.len() >= self.shard_capacity {
             self.evictions
                 .fetch_add(shard.len() as u64, Ordering::Relaxed);
             shard.clear();
         }
-        let checksum = wave.signature();
         shard.insert(key, (checksum, wave));
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.shard_capacity > 0
     }
 
     /// Whether a lookup for this signature could possibly hit — i.e.
@@ -380,7 +330,7 @@ impl SolveCache {
         let count = self.cost_count.fetch_add(1, Ordering::Relaxed);
         let admit = count < ADMISSION_WARMUP || cost.saturating_mul(count) >= sum.saturating_mul(2);
         if admit {
-            lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
+            self.admit(sig);
             self.admitted_count.fetch_add(1, Ordering::Relaxed);
         } else {
             self.skipped.fetch_add(1, Ordering::Relaxed);
@@ -388,21 +338,10 @@ impl SolveCache {
         admit
     }
 
-    /// Fault injection: marks a signature admitted regardless of cost, so a
-    /// poisoned entry stored via [`SolveCache::put_poisoned`] is actually
-    /// looked up (and caught) on the next solve.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub(crate) fn force_admit(&self, sig: u64) {
-        lock(&self.admitted[(sig as usize) & (SHARDS - 1)]).insert(sig);
-    }
-
     /// Looks the key up, counting a hit or miss. An entry that fails its
     /// integrity check is evicted and reported as [`Lookup::Corrupt`]
     /// (counted as a miss: the caller re-solves).
     pub(crate) fn get(&self, key: &SolveKey) -> Lookup {
-        if !self.enabled() {
-            return Lookup::Miss;
-        }
         let mut shard = lock(&self.shards[key.shard()]);
         match shard.get(key) {
             Some((checksum, wave)) => {
@@ -423,47 +362,20 @@ impl SolveCache {
         }
     }
 
-    /// Stores a solve result, evicting the shard when full.
+    /// Stores a solve result, journaling it for the solve store and
+    /// evicting the shard when full.
     pub(crate) fn put(&self, key: SolveKey, wave: Waveform) {
-        if !self.enabled() {
-            return;
-        }
-        if self.journal_on.load(Ordering::Acquire) {
-            lock(&self.journal).push((key.clone(), wave.clone()));
-        }
-        let mut shard = lock(&self.shards[key.shard()]);
-        if shard.len() >= self.shard_capacity {
-            self.evictions
-                .fetch_add(shard.len() as u64, Ordering::Relaxed);
-            shard.clear();
-        }
-        let checksum = wave.signature();
-        shard.insert(key, (checksum, wave));
+        lock(&self.journal).push((key.clone(), wave.clone()));
+        self.insert(key, wave.signature(), wave);
     }
 
-    /// Fault injection: stores `wave` under a checksum that does not match
-    /// it, so the next lookup detects the corruption and evicts.
+    /// Fault injection: admits the key's signature regardless of cost and
+    /// stores `wave` under a checksum that does not match it, so the next
+    /// lookup probes the entry, detects the corruption and evicts.
     #[cfg(any(test, feature = "fault-injection"))]
     pub(crate) fn put_poisoned(&self, key: SolveKey, wave: Waveform) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = lock(&self.shards[key.shard()]);
-        let checksum = wave.signature() ^ 0xdead_beef;
-        shard.insert(key, (checksum, wave));
-    }
-
-    /// Drops every entry and the admission state (counters keep
-    /// accumulating).
-    pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            lock(shard).clear();
-        }
-        for shard in &self.admitted {
-            lock(shard).clear();
-        }
-        self.cost_sum.store(0, Ordering::Relaxed);
-        self.cost_count.store(0, Ordering::Relaxed);
+        self.admit(key.admission_sig());
+        self.insert(key, wave.signature() ^ 0xdead_beef, wave);
     }
 
     /// Entries currently resident.
@@ -506,7 +418,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = SolveCache::new(true, 1024);
+        let cache = SolveCache::new();
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         assert_eq!(cache.get(&key(0, 1e-15)), Lookup::Miss);
         cache.put(key(0, 1e-15), w.clone());
@@ -519,17 +431,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 3);
-        assert!(s.hit_ratio() > 0.24 && s.hit_ratio() < 0.26);
-    }
-
-    #[test]
-    fn disabled_cache_never_stores() {
-        let cache = SolveCache::new(false, 1024);
-        let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
-        cache.put(key(0, 1e-15), w);
-        assert_eq!(cache.get(&key(0, 1e-15)), Lookup::Miss);
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -554,7 +455,7 @@ mod tests {
 
     #[test]
     fn poisoned_entry_is_evicted_not_served() {
-        let cache = SolveCache::new(true, 1024);
+        let cache = SolveCache::new();
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         cache.put_poisoned(key(0, 1e-15), w.clone());
         assert_eq!(cache.len(), 1);
@@ -605,7 +506,7 @@ mod tests {
 
     #[test]
     fn cost_admission_learns_an_adaptive_floor() {
-        let cache = SolveCache::new(true, 1024);
+        let cache = SolveCache::new();
         // Warm-up: everything is admitted while the mean is unreliable.
         for sig in 0..ADMISSION_WARMUP {
             assert!(cache.admit_cost(sig, 100), "warm-up admits all");
@@ -621,14 +522,11 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.admitted, ADMISSION_WARMUP + 1);
         assert_eq!(s.skipped, 1);
-        // clear() resets the admission state along with the entries.
-        cache.clear();
-        assert!(!cache.wants(7777), "cleared admission state");
     }
 
     #[test]
     fn corner_keys_apart_even_with_identical_electrical_inputs() {
-        let cache = SolveCache::new(true, 1024);
+        let cache = SolveCache::new();
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         let load = Load {
             cground: 1e-15,
@@ -661,28 +559,12 @@ mod tests {
             streamed,
             "a replayed key must re-earn the identical admission signature"
         );
-        // And from_parts round-trips the key bit-exactly.
-        let rebuilt = SolveKey::from_parts(
-            key.cell.clone(),
-            key.stage,
-            key.slot,
-            key.flags,
-            key.corner,
-            key.wave.clone(),
-            key.cground,
-            key.couplings.clone(),
-        );
-        assert_eq!(rebuilt, key);
-        assert_eq!(rebuilt.admission_sig(), streamed);
     }
 
     #[test]
-    fn journal_records_inserts_only_when_enabled() {
-        let cache = SolveCache::new(true, 1024);
+    fn journal_records_inserts_but_not_preloads() {
+        let cache = SolveCache::new();
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
-        cache.put(key(0, 1e-15), w.clone());
-        assert!(cache.drain_journal().is_empty(), "journal off by default");
-        cache.enable_journal();
         cache.put(key(1, 1e-15), w.clone());
         cache.put(key(2, 1e-15), w.clone());
         let drained = cache.drain_journal();
@@ -699,7 +581,7 @@ mod tests {
 
     #[test]
     fn preload_is_looked_up_even_under_cost_admission() {
-        let cache = SolveCache::new(true, 1024);
+        let cache = SolveCache::new();
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         let k = key(0, 1e-15);
         assert!(
@@ -716,14 +598,12 @@ mod tests {
 
     #[test]
     fn capacity_eviction_clears_full_shards() {
-        let cache = SolveCache::new(true, SHARDS); // one entry per shard
+        let cache = SolveCache::with_capacity(SHARDS); // one entry per shard
         let w = Waveform::ramp(0.0, 1e-9, 0.0, 3.3).expect("ramp");
         for i in 0..64 {
             cache.put(key(i, 1e-15), w.clone());
         }
         assert!(cache.stats().evictions > 0);
         assert!(cache.len() <= SHARDS);
-        cache.clear();
-        assert_eq!(cache.len(), 0);
     }
 }

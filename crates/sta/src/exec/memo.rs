@@ -1,15 +1,16 @@
-//! Per-stage exact-match solve memo — the pass-to-pass warm-start store.
+//! Per-stage exact-match solve memo — the engine's one exact-match reuse
+//! layer.
 //!
 //! Iterative refinement (§5.2) re-solves every stage once per pass, yet a
 //! stage whose input cone did not change between passes sees bit-identical
-//! inputs and would reproduce bit-identical outputs. The global
-//! [`super::cache::SolveCache`] already exploits this across analyzers and
-//! ECO rebuilds, but its generality costs a heap-allocated key per lookup —
-//! measurably slower than re-solving for the cheap shallow stages that
-//! dominate hit counts (DESIGN D7). The `ArcMemo` is the cheap local
-//! complement: a tiny per-stage table indexed directly by [`StageId`],
-//! compared against *borrowed* inputs with zero allocation on both hit and
-//! miss.
+//! inputs and would reproduce bit-identical outputs. The `ArcMemo` answers
+//! those re-solves, and every repeat within one analyzer's lifetime: a
+//! tiny per-stage table indexed directly by [`StageId`], compared against
+//! *borrowed* inputs with zero allocation on both hit and miss. (A keyed
+//! cache would pay a heap-allocated key per lookup — measurably slower
+//! than re-solving for the cheap shallow stages that dominate hit counts,
+//! DESIGN D7 — so only a store-backed daemon keeps one,
+//! [`super::cache::SolveCache`], for what outlives an analyzer.)
 //!
 //! Correctness rests on two invariants:
 //!
@@ -23,7 +24,8 @@
 //!   current [`crate::graph::TimingGraph`]; replacing the graph (ECO apply
 //!   or rollback) reassigns indices, so the owner must [`ArcMemo::clear`]
 //!   the memo then.
-//!   (The global cache survives rebuilds because it keys cell *names*.)
+//!   (The daemon's keyed cache survives rebuilds because it keys cell
+//!   *names*.)
 //!
 //! Determinism: a given stage's solves all run inside that stage's single
 //! wavefront task (or the serial loop), so the per-stage sequence of

@@ -7,10 +7,14 @@
 //!   (`pool::WorkerPool`) driving dependency-counter wavefront
 //!   propagation with work-stealing deques, replacing the
 //!   spawn-per-level/barrier-per-level scheme;
-//! - a **stage-solve cache** (`cache::SolveCache`): a sharded concurrent
-//!   memo table over the pure inputs of a transistor-level stage solve,
-//!   letting refinement passes and repeated modes skip Newton integration
-//!   when the inputs are bit-identical.
+//! - a **per-stage solve memo** (`memo::ArcMemo`), the engine's one
+//!   exact-match reuse layer: refinement passes, repeated modes and warm
+//!   re-analyses skip Newton integration when a stage's inputs are
+//!   bit-identical to an earlier solve.
+//!
+//! A store-backed serve daemon also attaches its one keyed solve cache
+//! (`cache::SolveCache`) to every session's executor; batch analyzers
+//! build none (DESIGN.md D11).
 //!
 //! The executor also binds each timing graph's arcs to their
 //! characterized macromodels before analysis (DESIGN.md D15): it
@@ -19,12 +23,12 @@
 //!
 //! [`ExecConfig`] is the user-facing knob set: thread count
 //! (`--threads` / `XTALK_THREADS`; 1 preserves the fully serial path),
-//! the small-batch serial cutoff, the cache switch/capacity
-//! (`XTALK_CACHE`, `XTALK_CACHE_CAPACITY`), fail-fast mode (`--strict` /
-//! `XTALK_STRICT`), signoff mode (`--signoff` / `XTALK_SIGNOFF`), the PVT
-//! corner list (`--corners` / `XTALK_CORNERS`) and the characterization
-//! store path (`--char-store` / `XTALK_CHAR_STORE`). Malformed
-//! environment values are a typed [`ConfigError`].
+//! the small-batch serial cutoff, the reuse switch (`XTALK_CACHE`),
+//! fail-fast mode (`--strict` / `XTALK_STRICT`), signoff mode
+//! (`--signoff` / `XTALK_SIGNOFF`), the PVT corner list (`--corners` /
+//! `XTALK_CORNERS`) and the characterization store path (`--char-store` /
+//! `XTALK_CHAR_STORE`). Malformed environment values are a typed
+//! [`ConfigError`].
 
 pub(crate) mod cache;
 pub(crate) mod memo;
@@ -123,10 +127,9 @@ pub struct ExecConfig {
     /// inline on the calling thread even when a pool exists — scheduling
     /// overhead dominates tiny batches.
     pub serial_cutoff: usize,
-    /// Enables the cross-pass stage-solve cache.
+    /// Enables solve reuse: the per-stage memo, and in a store-backed
+    /// daemon the keyed solve cache. Off is the uncached reference path.
     pub cache: bool,
-    /// Total stage-solve cache capacity, in entries.
-    pub cache_capacity: usize,
     /// Fail fast on the first recoverable fault instead of degrading to a
     /// conservative bound with a [`crate::diag::Diagnostic`].
     pub strict: bool,
@@ -152,7 +155,6 @@ impl Default for ExecConfig {
                 .unwrap_or(1),
             serial_cutoff: 32,
             cache: true,
-            cache_capacity: 1 << 20,
             strict: false,
             signoff: false,
             corners: None,
@@ -164,9 +166,8 @@ impl Default for ExecConfig {
 impl ExecConfig {
     /// The default configuration with environment overrides applied:
     /// `XTALK_THREADS` (integer; `1` = serial, `0`/unset = auto),
-    /// `XTALK_CACHE` (on/off switch for the stage-solve cache),
-    /// `XTALK_CACHE_CAPACITY` (entry count), `XTALK_STRICT` (on/off
-    /// switch), `XTALK_SIGNOFF` (on/off switch for the bit-exact
+    /// `XTALK_CACHE` (on/off switch for solve reuse), `XTALK_STRICT`
+    /// (on/off switch), `XTALK_SIGNOFF` (on/off switch for the bit-exact
     /// full-solver mode), `XTALK_CORNERS` (comma-separated corner list)
     /// and `XTALK_CHAR_STORE` (store path; empty = none).
     ///
@@ -204,15 +205,6 @@ impl ExecConfig {
         }
         if let Some(cache) = get("XTALK_CACHE") {
             config.cache = parse_switch("XTALK_CACHE", cache.trim())?;
-        }
-        if let Some(capacity) = get("XTALK_CACHE_CAPACITY") {
-            config.cache_capacity = capacity.trim().parse::<usize>().map_err(|_| {
-                env_err(
-                    "XTALK_CACHE_CAPACITY",
-                    &capacity,
-                    "a non-negative entry count (0 disables the cache)",
-                )
-            })?;
         }
         if let Some(strict) = get("XTALK_STRICT") {
             config.strict = parse_switch("XTALK_STRICT", strict.trim())?;
@@ -255,7 +247,7 @@ impl ExecConfig {
         self
     }
 
-    /// Enables or disables the stage-solve cache.
+    /// Enables or disables solve reuse (see [`ExecConfig::cache`]).
     #[must_use]
     pub fn with_cache(mut self, cache: bool) -> Self {
         self.cache = cache;
@@ -320,12 +312,14 @@ fn store_fault(path: &std::path::Path, detail: String) -> crate::diag::Diagnosti
 }
 
 /// The per-analyzer execution state: the lazily built worker pool, the
-/// stage-solve cache, the diagnostic sink of the current analysis, and (in
-/// fault-injection builds) the active fault plan.
+/// per-stage memo, the daemon's keyed solve cache when one is attached,
+/// the diagnostic sink of the current analysis, and (in fault-injection
+/// builds) the active fault plan.
 pub(crate) struct Executor {
     config: ExecConfig,
     pool: OnceLock<pool::WorkerPool>,
-    cache: cache::SolveCache,
+    /// The store-backed daemon's shared cache; `None` in batch analysis.
+    cache: Option<Arc<cache::SolveCache>>,
     memo: memo::ArcMemo,
     diagnostics: std::sync::Mutex<Vec<crate::diag::Diagnostic>>,
     /// Characterization-store faults (unopenable file, failed replay).
@@ -353,7 +347,6 @@ pub(crate) struct Executor {
 
 impl Executor {
     pub(crate) fn new(config: ExecConfig) -> Self {
-        let cache = cache::SolveCache::new(config.cache, config.cache_capacity);
         let memo = memo::ArcMemo::new(config.cache);
         let mut unavailable = None;
         let char_store =
@@ -375,7 +368,7 @@ impl Executor {
         Executor {
             config,
             pool: OnceLock::new(),
-            cache,
+            cache: None,
             memo,
             diagnostics: std::sync::Mutex::new(Vec::new()),
             sticky_diagnostics: std::sync::Mutex::new(unavailable.into_iter().collect()),
@@ -580,21 +573,25 @@ impl Executor {
         )
     }
 
-    pub(crate) fn cache(&self) -> &cache::SolveCache {
-        &self.cache
+    /// Attaches a store-backed daemon's shared solve cache. Only a config
+    /// with reuse on gets one.
+    pub(crate) fn attach_cache(&mut self, cache: Arc<cache::SolveCache>) {
+        self.cache = Some(cache);
+    }
+
+    pub(crate) fn cache(&self) -> Option<&cache::SolveCache> {
+        self.cache.as_deref()
     }
 
     pub(crate) fn memo(&self) -> &memo::ArcMemo {
         &self.memo
     }
 
+    /// The attached cache's counters; all zeros without one.
     pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    pub(crate) fn clear_cache(&self) {
-        self.cache.clear();
-        self.memo.clear();
+        self.cache()
+            .map(cache::SolveCache::stats)
+            .unwrap_or_default()
     }
 }
 
@@ -628,14 +625,12 @@ mod tests {
         let c = ExecConfig::from_lookup(lookup(&[
             ("XTALK_THREADS", "3"),
             ("XTALK_CACHE", "off"),
-            ("XTALK_CACHE_CAPACITY", "4096"),
             ("XTALK_STRICT", "1"),
             ("XTALK_SIGNOFF", "on"),
         ]))
         .expect("valid overrides");
         assert_eq!(c.threads, 3);
         assert!(!c.cache);
-        assert_eq!(c.cache_capacity, 4096);
         assert!(c.strict);
         assert!(c.signoff);
         assert!(!ExecConfig::default().signoff, "fast path is the default");
@@ -643,7 +638,7 @@ mod tests {
         let auto = ExecConfig::from_lookup(lookup(&[("XTALK_THREADS", "0")])).expect("auto");
         assert_eq!(auto.threads, ExecConfig::default().threads);
         let plain = ExecConfig::from_lookup(lookup(&[])).expect("no overrides");
-        assert_eq!(plain.cache_capacity, ExecConfig::default().cache_capacity);
+        assert!(plain.cache, "reuse is on by default");
     }
 
     #[test]
@@ -656,20 +651,6 @@ mod tests {
             assert_eq!(value, bad);
             assert!(e.to_string().contains("XTALK_THREADS"), "{e}");
         }
-    }
-
-    #[test]
-    fn junk_cache_capacity_is_a_typed_error_not_a_silent_default() {
-        for bad in ["lots", "-1", "1e6", "0x100"] {
-            let e = ExecConfig::from_lookup(lookup(&[("XTALK_CACHE_CAPACITY", bad)]))
-                .expect_err("junk must be rejected");
-            let ConfigError::InvalidEnv { var, value, .. } = &e;
-            assert_eq!(*var, "XTALK_CACHE_CAPACITY");
-            assert_eq!(value, bad);
-        }
-        // 0 is a valid capacity: it disables the cache rather than erroring.
-        let c = ExecConfig::from_lookup(lookup(&[("XTALK_CACHE_CAPACITY", "0")])).expect("zero");
-        assert_eq!(c.cache_capacity, 0);
     }
 
     #[test]
@@ -727,7 +708,9 @@ mod tests {
         let parallel = Executor::new(ExecConfig::default().with_threads(2));
         assert!(parallel.pool_for(4).is_none(), "below the cutoff");
         assert!(parallel.pool_for(4096).is_some(), "above the cutoff");
-        let nocache = Executor::new(ExecConfig::default().with_cache(false));
-        assert!(!nocache.cache().enabled());
+        assert!(
+            serial.cache().is_none(),
+            "an analyzer builds no keyed cache"
+        );
     }
 }

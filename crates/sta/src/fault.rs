@@ -24,8 +24,9 @@ pub enum Fault {
     DivergentStage,
     /// Panic inside the stage task, mid-job.
     MidJobPanic,
-    /// Corrupt the freshly inserted stage-solve cache entry so its
-    /// integrity checksum no longer matches.
+    /// Corrupt the freshly inserted keyed solve-cache entry so its
+    /// integrity checksum no longer matches (where a store-backed daemon
+    /// attached a keyed cache; batch analyzers have none).
     PoisonedCache,
 }
 

@@ -62,6 +62,7 @@ use xtalk_netlist::{GateId, Netlist};
 use xtalk_tech::{Library, Process};
 
 use crate::engine::{Sta, StaError};
+use crate::exec::cache::SolveCache;
 use crate::exec::{CacheStats, ExecConfig, Executor};
 use crate::graph::{TNodeKind, TimingGraph};
 use crate::kernel::{NodeState, Pred, PropagationCore, Quiet};
@@ -208,15 +209,21 @@ impl<'a> IncrementalSta<'a> {
         self.exec.config()
     }
 
-    /// Stage-solve cache counters accumulated so far.
+    /// Keyed solve-cache counters: those of the daemon's shared cache when
+    /// a store-backed daemon attached one, else all zeros.
     pub fn cache_stats(&self) -> CacheStats {
         self.exec.cache_stats()
     }
 
-    /// Drops every stage-solve cache entry (the arrival caches are
+    /// Drops every memoized stage solve (the arrival caches are
     /// unaffected; exact-match keys mean results never change).
     pub fn clear_solve_cache(&self) {
-        self.exec.clear_cache();
+        self.exec.memo().clear();
+    }
+
+    /// Attaches a store-backed daemon's shared keyed solve cache.
+    pub(crate) fn attach_cache(&mut self, cache: Arc<SolveCache>) {
+        self.exec.attach_cache(cache);
     }
 
     /// Installs (or clears, with `None`) a deterministic fault plan for the
@@ -310,7 +317,8 @@ impl<'a> IncrementalSta<'a> {
         self.remap_caches(&old_graph);
         // The per-stage solve memo keys entries by stage *index*, which the
         // rebuild just reassigned — stale entries would be wrong, not merely
-        // useless. The keyed solve cache keys stable identities and survives.
+        // useless. An attached keyed cache keys stable identities and
+        // survives.
         self.exec.memo().clear();
         // Compact the dirt log whenever every cache has consumed it.
         if self
@@ -392,7 +400,7 @@ impl<'a> IncrementalSta<'a> {
         self.last_stats = AnalyzeStats::default();
     }
 
-    /// The execution state, for the serve daemon's cache-persistence hooks.
+    /// The execution state, for the serve daemon's deadline hooks.
     pub(crate) fn executor(&self) -> &Executor {
         &self.exec
     }

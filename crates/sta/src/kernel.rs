@@ -5,11 +5,12 @@
 //! ECO engine (`crate::incremental`) all execute passes through
 //! [`PropagationCore`]. The kernel owns the arrival store ([`NodeState`]
 //! per timing node), stage evaluation (sensitization, wire adjustment,
-//! launch mirroring, the solve cache and the degrade-don't-die fallbacks)
-//! and the pass drivers (serial level loop, wavefront, incremental dirty
-//! sweep). What it does *not* own is the coupling treatment: each arc's
-//! load decision is delegated to a [`crate::policy::CouplingPolicy`], so
-//! the five analysis modes differ only in the policy object they pass in.
+//! launch mirroring, the solve memo and cache, and the degrade-don't-die
+//! fallbacks) and the pass drivers (serial level loop, wavefront,
+//! incremental dirty sweep). What it does *not* own is the coupling
+//! treatment: each arc's load decision is delegated to a
+//! [`crate::policy::CouplingPolicy`], so the five analysis modes differ
+//! only in the policy object they pass in.
 //!
 //! Propagation is the paper's §4 breadth-first scheme over the expanded
 //! stage graph: one worst-case waveform per node and transition direction,
@@ -234,7 +235,7 @@ impl Inject {
     }
 
     /// Whether this stage's solves must bypass the per-stage memo. Any
-    /// injected fault does: the robustness tests observe the keyed cache
+    /// injected fault does: the poisoning test observes the keyed cache
     /// layer directly, and a memoized answer would mask the injected path.
     fn skips_memo(&self) -> bool {
         #[cfg(any(test, feature = "fault-injection"))]
@@ -1023,8 +1024,8 @@ impl PropagationCore<'_> {
     }
 
     /// One stage solve routed through the reuse layers. `stage_solves`
-    /// counts the logical invocation either way; only a full miss (or a disabled
-    /// cache) pays the Newton integration, through the thread-local scratch
+    /// counts the logical invocation either way; only a full miss pays the
+    /// Newton integration, through the thread-local scratch
     /// ([`solve_lean`]). Reuse is layered cheapest-first (DESIGN.md D10):
     ///
     /// 0. the arc's characterized macromodel tables, when the caller
@@ -1033,23 +1034,25 @@ impl PropagationCore<'_> {
     ///    min-delay analyses never resolve a model (DESIGN.md D12);
     /// 1. the per-stage memo (`exec::memo`) — a borrowed bitwise compare
     ///    with no key allocation, which is what makes refinement re-solves
-    ///    of unchanged arcs nearly free;
-    /// 2. the keyed stage-solve cache (`exec::cache`) — probed only when
-    ///    the admission policy admitted this signature, so cheap shallow
-    ///    solves skip the allocating probe entirely;
+    ///    of unchanged arcs nearly free (off only on the uncached
+    ///    reference path);
+    /// 2. the keyed stage-solve cache (`exec::cache`), only when a
+    ///    store-backed daemon attached one — probed only when the admission
+    ///    policy admitted this signature, so cheap shallow solves skip the
+    ///    allocating probe entirely;
     /// 3. the solve itself, whose measured Newton-iteration cost then
-    ///    feeds the adaptive admission threshold.
+    ///    feeds the keyed cache's adaptive admission threshold.
     ///
     /// Layers 1–3 match exact inputs bitwise, so a hit there is
     /// bit-identical to the solve it replaces; only layer 0 substitutes a
     /// (bounded, conservative) approximation.
     ///
     /// This is the engine's solver choke point, so it also hosts the fault
-    /// harness (`inject`) and the cache guardrails: a load that refuses a
-    /// signature (non-finite capacitance) solves uncached under a
-    /// diagnostic, a corrupt cache entry is reported, never served, and a
-    /// fault-injected stage bypasses the memo so the injected path stays
-    /// observable at the cache layer.
+    /// harness (`inject`) and the keyed cache's guardrails: a load that
+    /// refuses a signature (non-finite capacitance) solves uncached, a
+    /// corrupt cache entry is reported, never served, and a fault-injected
+    /// stage bypasses the memo so the injected path stays observable at
+    /// the keyed layer.
     #[allow(clippy::too_many_arguments)]
     fn solve_cached(
         &self,
@@ -1095,26 +1098,20 @@ impl PropagationCore<'_> {
                 }
             }
         }
-        let cache = self.exec.cache();
-        if !cache.enabled() {
-            let solved = solve_lean(solver, stage, slot, in_wave, side, &load)?;
-            counters.record_solve(solved.newton_iters);
-            return Ok(solved.wave);
-        }
         // The reuse layers are corner-keyed: a scenario run shares one
-        // executor (memo + cache) across PVT corners over the same graph,
-        // so the same stage/slot/inputs at two corners must never serve
-        // each other's bits. The base process carries signature 0, keeping
-        // single-corner behavior byte-for-byte unchanged.
+        // executor (and memo) across PVT corners over the same graph, and a
+        // daemon shares one keyed cache across sessions and corner
+        // replicas, so the same stage/slot/inputs at two corners must never
+        // serve each other's bits. The base process carries signature 0,
+        // keeping single-corner behavior byte-for-byte unchanged.
         let corner = self.process.corner_sig();
-        // Probe the memo before hashing the admission signature: a memo hit
-        // answers from the per-stage table alone, so the (waveform-length)
-        // FNV hash would be pure overhead on the hit path. A non-finite load
-        // can never hit (the memo only stores finite loads, and no finite
-        // bit pattern equals a NaN/Inf pattern), so the diagnostic below is
-        // reached exactly as before.
+        // The memo answers from the per-stage table alone, so it is probed
+        // before the keyed layer hashes anything. A non-finite load can
+        // never hit (the memo only stores finite loads, and no finite bit
+        // pattern equals a NaN/Inf pattern).
         let memo = self.exec.memo();
-        if !inject.skips_memo() {
+        let memoize = !inject.skips_memo();
+        if memoize {
             if let Some(wave) = memo.get(
                 si, slot, ordinal, out_rising, earliest, corner, in_wave, &load,
             ) {
@@ -1123,32 +1120,8 @@ impl PropagationCore<'_> {
                 return Ok(wave);
             }
         }
-        let Some(sig) = admission_sig(
-            cell_name,
-            stage_in_cell,
-            slot,
-            out_rising,
-            earliest,
-            corner,
-            in_wave,
-            &load,
-        ) else {
-            // A non-finite load has no canonical signature; solve uncached
-            // and let the stage solver's own input validation classify it.
-            self.exec.push_diagnostic(Diagnostic {
-                severity: Severity::Warning,
-                node: cell_name.to_string(),
-                fault: FaultClass::NonFiniteValue,
-                substituted_bound: None,
-                detail: "non-finite load capacitance rejected by the solve cache".to_string(),
-            });
-            let solved = solve_lean(solver, stage, slot, in_wave, side, &load)?;
-            counters.record_solve(solved.newton_iters);
-            return Ok(solved.wave);
-        };
-        let mut key = None;
-        if cache.wants(sig) {
-            key = SolveKey::new(
+        let key_of = || {
+            SolveKey::new(
                 cell_name,
                 stage_in_cell,
                 slot,
@@ -1157,25 +1130,44 @@ impl PropagationCore<'_> {
                 corner,
                 in_wave,
                 &load,
-            );
-            if let Some(k) = &key {
-                match cache.get(k) {
-                    Lookup::Hit(wave) => {
-                        counters.cache_hits += 1;
-                        return Ok(wave);
-                    }
-                    Lookup::Corrupt => {
-                        self.exec.push_diagnostic(Diagnostic {
-                            severity: Severity::Warning,
-                            node: cell_name.to_string(),
-                            fault: FaultClass::CacheCorruption,
-                            substituted_bound: None,
-                            detail: "cache entry failed its integrity check; evicted and re-solved"
-                                .to_string(),
-                        });
-                    }
-                    Lookup::Miss => {}
+            )
+        };
+        // The keyed layer: a store-backed daemon's shared cache, probed only
+        // for signatures cost admission let in. A non-finite load has no
+        // signature and skips it; the stage solver's input validation
+        // classifies that load.
+        let keyed = self.exec.cache().and_then(|cache| {
+            let sig = admission_sig(
+                cell_name,
+                stage_in_cell,
+                slot,
+                out_rising,
+                earliest,
+                corner,
+                in_wave,
+                &load,
+            )?;
+            Some((cache, sig))
+        });
+        let mut key = None;
+        if let Some((cache, _)) = keyed.filter(|(cache, sig)| cache.wants(*sig)) {
+            key = key_of();
+            match key.as_ref().map(|k| cache.get(k)) {
+                Some(Lookup::Hit(wave)) => {
+                    counters.cache_hits += 1;
+                    return Ok(wave);
                 }
+                Some(Lookup::Corrupt) => {
+                    self.exec.push_diagnostic(Diagnostic {
+                        severity: Severity::Warning,
+                        node: cell_name.to_string(),
+                        fault: FaultClass::CacheCorruption,
+                        substituted_bound: None,
+                        detail: "cache entry failed its integrity check; evicted and re-solved"
+                            .to_string(),
+                    });
+                }
+                _ => {}
             }
         }
         let solved = solve_lean(solver, stage, slot, in_wave, side, &load)?;
@@ -1184,26 +1176,15 @@ impl PropagationCore<'_> {
         #[cfg(any(test, feature = "fault-injection"))]
         if inject.poisons_cache() {
             // The poisoned entry must land in the keyed cache regardless of
-            // the admission policy — the robustness tests corrupt it there.
-            cache.force_admit(sig);
-            let key = key.or_else(|| {
-                SolveKey::new(
-                    cell_name,
-                    stage_in_cell,
-                    slot,
-                    out_rising,
-                    earliest,
-                    corner,
-                    in_wave,
-                    &load,
-                )
-            });
-            if let Some(k) = key {
-                cache.put_poisoned(k, wave.clone());
+            // the admission policy — the poisoning test corrupts it there.
+            if let Some((cache, _)) = keyed {
+                if let Some(k) = key.or_else(key_of) {
+                    cache.put_poisoned(k, wave.clone());
+                }
             }
             return Ok(wave);
         }
-        if !inject.skips_memo() {
+        if memoize {
             memo.put(
                 si,
                 slot,
@@ -1216,21 +1197,11 @@ impl PropagationCore<'_> {
                 wave.clone(),
             );
         }
-        if cache.admit_cost(sig, solved.newton_iters as u64) {
-            let key = key.or_else(|| {
-                SolveKey::new(
-                    cell_name,
-                    stage_in_cell,
-                    slot,
-                    out_rising,
-                    earliest,
-                    corner,
-                    in_wave,
-                    &load,
-                )
-            });
-            if let Some(k) = key {
-                cache.put(k, wave.clone());
+        if let Some((cache, sig)) = keyed {
+            if cache.admit_cost(sig, solved.newton_iters as u64) {
+                if let Some(k) = key.or_else(key_of) {
+                    cache.put(k, wave.clone());
+                }
             }
         }
         Ok(wave)

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod charstore;
+pub mod design;
 pub mod diag;
 pub mod engine;
 pub mod exec;

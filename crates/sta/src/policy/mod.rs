@@ -38,7 +38,7 @@ use crate::mode::AnalysisMode;
 
 /// The kernel's solver choke point, handed to a policy as a callback: one
 /// stage solve under the load the policy chose. Counting (logical calls,
-/// cache hits, Newton solves), the solve cache and the fault harness all
+/// cache hits, Newton solves), the reuse layers and the fault harness all
 /// sit behind it, so a policy decides *what* to solve, never *how*.
 pub type ArcSolve<'s> = dyn FnMut(Load) -> Result<Waveform, StageError> + 's;
 

@@ -70,8 +70,8 @@ pub struct SolveCounters {
     /// Newton integrations actually performed.
     pub newton_solves: usize,
     /// Solver calls answered without a Newton integration: by the
-    /// macromodel tables, the per-stage warm-start memo or the keyed
-    /// stage-solve cache.
+    /// macromodel tables, the per-stage warm-start memo or, in a
+    /// store-backed daemon, the keyed stage-solve cache.
     pub cache_hits: usize,
     /// Subset of `cache_hits` answered by the per-stage warm-start memo
     /// (the allocation-free layer).

@@ -2,12 +2,12 @@
 //!
 //! A scenario run analyzes one design under a matrix of {PVT corner ×
 //! analysis mode} over a single shared `Executor`: the wavefront worker
-//! pool, the per-stage memo and the keyed stage-solve cache persist across
-//! corners instead of being rebuilt per corner. Sharing is safe because
-//! every reuse-layer identity carries the corner's signature
-//! ([`xtalk_tech::Process::corner_sig`]) — a cached entry can only ever be
-//! served back to the corner that produced it, so each corner's reports
-//! are bit-identical to a standalone single-corner run (DESIGN.md D14).
+//! pool and the per-stage memo persist across corners instead of being
+//! rebuilt per corner. Sharing is safe because every memo entry carries
+//! the corner's signature ([`xtalk_tech::Process::corner_sig`]) — an entry
+//! can only ever be served back to the corner that produced it, so each
+//! corner's reports are bit-identical to a standalone single-corner run
+//! (DESIGN.md D14).
 //! A corner inside the matrix runs exactly as it would standalone; the
 //! only thing it gains from the matrix is the already-built executor.
 
@@ -36,8 +36,8 @@ pub struct ScenarioMatrix<'a> {
 impl<'a> ScenarioMatrix<'a> {
     /// Builds the scenario driver. `corners` come from the configuration
     /// ([`ExecConfig::corners`], `--corners`, `XTALK_CORNERS`) or
-    /// [`Corner::default_matrix`]; the executor (pool, memo, cache) is
-    /// built once here and shared by every corner.
+    /// [`Corner::default_matrix`]; the executor (pool, memo) is built once
+    /// here and shared by every corner.
     ///
     /// # Errors
     ///
@@ -344,5 +344,55 @@ mod tests {
         for w in report.worst_endpoints.windows(2) {
             assert!(w[0].worst >= w[1].worst);
         }
+    }
+
+    /// Batch analyzers keep only the per-stage memo: no keyed cache is
+    /// built, probed or filled, and the memo alone answers a warm
+    /// re-analysis.
+    #[test]
+    fn batch_analyzers_keep_only_the_memo() {
+        use crate::exec::CacheStats;
+        let f = fixture(data::S27_BENCH);
+        let mode = AnalysisMode::Iterative { esperance: false };
+        let sta = crate::Sta::with_config(
+            &f.netlist,
+            &f.library,
+            &f.process,
+            &f.parasitics,
+            serial_config(),
+        )
+        .expect("sta");
+        assert!(sta.analyze(mode).expect("cold").newton_solves > 0);
+        let warm = sta.analyze(mode).expect("warm");
+        assert_eq!(sta.cache_stats(), CacheStats::default());
+        assert_eq!(warm.newton_solves, 0, "the memo answers a warm re-analysis");
+        assert_eq!(warm.cache_hits, warm.warm_hits + warm.table_hits);
+
+        let scenario = ScenarioMatrix::new(
+            &f.netlist,
+            &f.library,
+            &f.process,
+            &f.parasitics,
+            Corner::default_matrix(),
+            serial_config(),
+        )
+        .expect("scenario");
+        scenario.run(&[mode]).expect("cold matrix");
+        let warm = scenario.run(&[mode]).expect("warm matrix");
+        assert_eq!(scenario.exec.cache_stats(), CacheStats::default());
+        for run in &warm.corners {
+            assert_eq!(run.reports[0].newton_solves, 0, "corner {}", run.corner);
+        }
+
+        let mut eco = crate::IncrementalSta::with_config(
+            f.netlist.clone(),
+            &f.library,
+            &f.process,
+            f.parasitics.clone(),
+            serial_config(),
+        )
+        .expect("incremental");
+        eco.analyze(mode).expect("incremental");
+        assert_eq!(eco.cache_stats(), CacheStats::default());
     }
 }

@@ -3,7 +3,7 @@
 //! `xtalk serve` binds a Unix-domain socket and keeps everything that is
 //! expensive to build **resident across requests**: parsed netlists,
 //! extracted parasitics, CSR timing graphs, per-mode arrival caches and
-//! the keyed stage-solve cache — the state a batch CLI run rebuilds from
+//! per-stage solve memos — the state a batch CLI run rebuilds from
 //! scratch every invocation. Clients speak the length-prefixed JSON
 //! protocol of [`crate::serve::proto`]; concurrent connections each get a
 //! handler thread, and per-design sessions serialize on their own mutex,
@@ -22,18 +22,21 @@
 //!
 //! # The persistent solve store
 //!
-//! With a store directory configured, every solved stage result is
-//! journaled by the session's stage-solve cache and appended — checksummed
-//! and deduplicated — to an on-disk log ([`crate::serve::store`]) after
-//! the request that produced it (write-behind: the client's response is
-//! not delayed by disk I/O for entries it already has). On `load`, the log
-//! is replayed into the fresh session's cache with corrupt entries
-//! skipped, so a daemon restarted on a populated store answers its first
-//! analysis with strictly fewer Newton integrations than a cold batch run
-//! — and, because the cache is exact-match on bit-canonical solver inputs,
-//! with bit-identical arrivals.
+//! With a store configured, the daemon keeps one keyed stage-solve cache
+//! (`crate::exec::cache`), replays the store into it once at
+//! [`Daemon::bind`] with corrupt entries skipped, and attaches it to every
+//! session and corner replica. Cost-admitted solves are journaled by that
+//! cache and appended — checksummed and deduplicated — to the on-disk log
+//! ([`crate::serve::store`]) after the request that produced them
+//! (write-behind: the client's response is not delayed by disk I/O for
+//! entries it already has). So a session answers what another session
+//! already solved, and a daemon restarted on a populated store answers
+//! its first analysis with strictly fewer Newton integrations than a cold
+//! batch run — and, because the cache is exact-match on bit-canonical
+//! solver inputs (cell, stage, slot, flags, corner and input bits), with
+//! bit-identical arrivals.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
@@ -42,12 +45,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use xtalk_layout::Parasitics;
-use xtalk_netlist::Netlist;
 use xtalk_tech::{Corner, Library, Process};
 
 use crate::diag::Severity;
 use crate::engine::StaError;
+use crate::exec::cache::SolveCache;
 use crate::exec::ExecConfig;
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::{ServeFault, ServeFaultPlan};
@@ -218,26 +220,20 @@ pub struct ServeSummary {
 /// that replica only).
 struct Session {
     sta: IncrementalSta<'static>,
-    corners: HashMap<String, IncrementalSta<'static>>,
+    corners: BTreeMap<String, IncrementalSta<'static>>,
     netlist_path: String,
     spef_path: Option<String>,
-}
-
-impl Session {
-    /// Every resident analyzer: the base first, then the materialized
-    /// corner replicas in name order (deterministic stats/flush order).
-    fn analyzers(&self) -> impl Iterator<Item = (&str, &IncrementalSta<'static>)> {
-        let mut corners: Vec<(&str, &IncrementalSta<'static>)> =
-            self.corners.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        corners.sort_by_key(|(name, _)| *name);
-        std::iter::once(("base", &self.sta)).chain(corners)
-    }
 }
 
 /// State shared between the accept loop and every connection thread.
 struct Shared {
     exec: ExecConfig,
     store: Option<SolveStore>,
+    /// The one keyed solve cache every session and corner replica shares:
+    /// present with a store and solve reuse on.
+    cache: Option<Arc<SolveCache>>,
+    /// `(replayed, corrupt_skipped)` of the store replay at bind.
+    replay: (u64, u64),
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     requests: AtomicU64,
     shutdown: AtomicBool,
@@ -283,7 +279,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the service socket and opens the solve store (if configured).
+    /// Binds the service socket and opens the solve store (if configured),
+    /// replaying it into the daemon's cache. Clients may connect during
+    /// the replay; their requests wait for [`Daemon::run`].
     ///
     /// # Errors
     ///
@@ -318,6 +316,16 @@ impl Daemon {
         };
         let listener = UnixListener::bind(&config.socket)?;
         listener.set_nonblocking(true)?;
+        let mut replay = (0, 0);
+        let cache = match &store {
+            Some(store) if config.exec.cache => {
+                let cache = SolveCache::new();
+                // A store that cannot be read back costs warmth, not service.
+                replay = store.replay(&cache).unwrap_or_default();
+                Some(Arc::new(cache))
+            }
+            _ => None,
+        };
         Ok(Daemon {
             listener,
             socket: config.socket,
@@ -325,6 +333,8 @@ impl Daemon {
             shared: Arc::new(Shared {
                 exec: config.exec,
                 store,
+                cache,
+                replay,
                 sessions: Mutex::new(HashMap::new()),
                 requests: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
@@ -398,7 +408,7 @@ impl Daemon {
             let _ = h.join();
         }
         // Flush any journal entries the last requests produced.
-        flush_journals(&self.shared, u64::MAX);
+        flush_journal(&self.shared, u64::MAX);
         let _ = std::fs::remove_file(&self.socket);
         Ok(ServeSummary {
             requests: self.shared.requests.load(Ordering::Acquire),
@@ -502,7 +512,7 @@ fn serve_frames(mut reader: UnixStream, mut writer: UnixStream, shared: &Shared)
         }
         let _ = writer.flush();
         // Persist what this request solved before accepting the next one.
-        flush_journals(shared, request_index);
+        flush_journal(shared, request_index);
         if stop {
             shared.shutdown.store(true, Ordering::Release);
             break;
@@ -529,43 +539,35 @@ fn acquire_inflight(shared: &Shared) -> bool {
     }
 }
 
-/// Write-behind: drains every session's solve journal into the store.
-/// Sessions busy under another request are skipped — their entries flush
-/// after that request completes.
-fn flush_journals(shared: &Shared, _request_index: u64) {
-    let Some(store) = &shared.store else {
+/// Write-behind: drains the shared cache's solve journal into the store.
+fn flush_journal(shared: &Shared, _request_index: u64) {
+    let (Some(store), Some(cache)) = (&shared.store, &shared.cache) else {
         return;
     };
-    let sessions: Vec<Arc<Mutex<Session>>> = lock_sessions(shared).values().cloned().collect();
-    for session in sessions {
-        if let Ok(guard) = session.try_lock() {
-            for (_, sta) in guard.analyzers() {
-                let entries = sta.executor().cache().drain_journal();
-                if entries.is_empty() {
-                    continue;
-                }
-                #[cfg(any(test, feature = "fault-injection"))]
-                if shared.injects(ServeFault::StoreWriteFail, _request_index) {
-                    // Simulated full/failing disk: the entries are lost, the
-                    // failure is counted, and the daemon keeps serving.
-                    shared.store_write_failures.fetch_add(1, Ordering::AcqRel);
-                    continue;
-                }
-                // A full disk costs persistence, not service: the daemon
-                // keeps answering from memory.
-                if store.append(&entries).is_err() {
-                    shared.store_write_failures.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-        }
+    let entries = cache.drain_journal();
+    if entries.is_empty() {
+        return;
+    }
+    #[cfg(any(test, feature = "fault-injection"))]
+    if shared.injects(ServeFault::StoreWriteFail, _request_index) {
+        // Simulated full/failing disk: the entries are lost, the failure
+        // is counted, and the daemon keeps serving.
+        shared.store_write_failures.fetch_add(1, Ordering::AcqRel);
+        return;
+    }
+    // A full disk costs persistence, not service: the daemon keeps
+    // answering from memory.
+    if store.append(&entries).is_err() {
+        shared.store_write_failures.fetch_add(1, Ordering::AcqRel);
     }
 }
 
 /// Dispatches one request to its command handler. Never panics a
 /// connection thread: every failure becomes an `ok: false` response — a
 /// panic inside a session command quarantines that design's session
-/// (dropped from the map; the next `load` rebuilds it from the netlist
-/// and the solve store) and answers with a typed `quarantined` failure.
+/// (dropped from the map; the next `load` rebuilds it from the netlist,
+/// over the daemon's shared cache) and answers with a typed `quarantined`
+/// failure.
 fn handle_request(shared: &Shared, request: &Json, request_index: u64) -> Json {
     let Some(cmd) = request.str_field("cmd") else {
         return error_response("request has no `cmd` field", None);
@@ -626,55 +628,25 @@ fn cmd_compact(shared: &Shared) -> Json {
     }
 }
 
-/// Parses a netlist file plus parasitics (SPEF or place/route/extract),
-/// exactly like the batch CLI's design loading.
-fn load_design(netlist_path: &str, spef: Option<&str>) -> Result<(Netlist, Parasitics), String> {
-    let (process, library) = {
-        let t = tech();
-        (&t.0, &t.1)
-    };
-    let text = std::fs::read_to_string(netlist_path).map_err(|e| format!("{netlist_path}: {e}"))?;
-    let ext = std::path::Path::new(netlist_path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    let netlist = match ext {
-        "bench" => xtalk_netlist::bench::parse(&text, library)
-            .map_err(|e| format!("{netlist_path}: {e}"))?,
-        "v" => xtalk_netlist::verilog::parse(&text, library)
-            .map_err(|e| format!("{netlist_path}: {e}"))?,
-        other => {
-            return Err(format!(
-                "unsupported netlist extension `.{other}` (use .bench or .v)"
-            ))
-        }
-    };
-    netlist
-        .validate(library)
-        .map_err(|e| format!("{netlist_path}: {e}"))?;
-    let parasitics = match spef {
-        Some(spef_path) => {
-            let text =
-                std::fs::read_to_string(spef_path).map_err(|e| format!("{spef_path}: {e}"))?;
-            // SPEF carries no per-sink resistances; recover them from a
-            // fresh routing of the same netlist (same rule as the CLI).
-            let mut para = xtalk_layout::spef::parse(&text, &netlist)
-                .map_err(|e| format!("{spef_path}: {e}"))?;
-            let placement = xtalk_layout::place::place(&netlist, library, process);
-            let routes = xtalk_layout::route::route(&netlist, &placement, process);
-            let routed = xtalk_layout::extract::extract(&netlist, &routes, process);
-            for (a, b) in para.nets.iter_mut().zip(&routed.nets) {
-                a.sinks = b.sinks.clone();
-            }
-            para
-        }
-        None => {
-            let placement = xtalk_layout::place::place(&netlist, library, process);
-            let routes = xtalk_layout::route::route(&netlist, &placement, process);
-            xtalk_layout::extract::extract(&netlist, &routes, process)
-        }
-    };
-    Ok((netlist, parasitics))
+/// Builds a session analyzer at `process` over a design loaded with the
+/// batch CLI's loader (placed and routed at the base process), attached to
+/// the daemon's shared cache.
+fn session_sta(
+    shared: &Shared,
+    netlist_path: &str,
+    spef: Option<&str>,
+    process: &'static Process,
+) -> Result<IncrementalSta<'static>, String> {
+    let (base, library) = tech();
+    let (netlist, parasitics) =
+        crate::design::load_design(netlist_path, spef, base, library).map_err(|e| e.to_string())?;
+    let mut sta =
+        IncrementalSta::with_config(netlist, library, process, parasitics, shared.exec.clone())
+            .map_err(|e| e.to_string())?;
+    if let Some(cache) = &shared.cache {
+        sta.attach_cache(Arc::clone(cache));
+    }
+    Ok(sta)
 }
 
 fn cmd_load(shared: &Shared, request: &Json) -> Json {
@@ -685,46 +657,16 @@ fn cmd_load(shared: &Shared, request: &Json) -> Json {
         return error_response("load needs a `netlist` file path", None);
     };
     let spef = request.str_field("spef");
-    let (netlist, parasitics) = match load_design(netlist_path, spef) {
-        Ok(pair) => pair,
+    let sta = match session_sta(shared, netlist_path, spef, &tech().0) {
+        Ok(sta) => sta,
         Err(msg) => return error_response(&msg, None),
     };
-    let (process, library) = {
-        let t = tech();
-        (&t.0, &t.1)
-    };
-    let sta = match IncrementalSta::with_config(
-        netlist,
-        library,
-        process,
-        parasitics,
-        shared.exec.clone(),
-    ) {
-        Ok(sta) => sta,
-        Err(e) => return error_response(&e.to_string(), None),
-    };
-    let mut replayed = 0u64;
-    let mut corrupt = 0u64;
-    if let Some(store) = &shared.store {
-        let cache = sta.executor().cache();
-        cache.enable_journal();
-        match store.replay(cache) {
-            Ok((r, c)) => {
-                replayed = r;
-                corrupt = c;
-            }
-            Err(e) => {
-                // A vanished store file costs warmth, not the load.
-                let _ = e;
-            }
-        }
-    }
     let gates = sta.netlist().gate_count();
     let nets = sta.netlist().net_count();
     let couplings = sta.parasitics().coupling_count() / 2;
     let session = Session {
         sta,
-        corners: HashMap::new(),
+        corners: BTreeMap::new(),
         netlist_path: netlist_path.to_string(),
         spef_path: spef.map(str::to_string),
     };
@@ -737,8 +679,8 @@ fn cmd_load(shared: &Shared, request: &Json) -> Json {
         ("gates", Json::num(gates as f64)),
         ("nets", Json::num(nets as f64)),
         ("coupling_caps", Json::num(couplings as f64)),
-        ("store_replayed", Json::num(replayed as f64)),
-        ("store_corrupt_skipped", Json::num(corrupt as f64)),
+        ("store_replayed", Json::num(shared.replay.0 as f64)),
+        ("store_corrupt_skipped", Json::num(shared.replay.1 as f64)),
         ("replaced", Json::Bool(replaced)),
         ("exit_code", Json::num(0.0)),
     ])
@@ -788,8 +730,8 @@ fn mode_for(request: &Json) -> Result<AnalysisMode, Json> {
 /// analyzer for that corner, materializing the replica on first use.
 /// Without a `corner` field (or with `corner: "base"`) the base
 /// analyzer answers — the pre-scenario behaviour, bit for bit. Replicas
-/// replay the shared solve store on construction; corner-keyed solve
-/// keys guarantee only records of the matching corner can ever hit.
+/// share the daemon's cache; corner-keyed solve keys guarantee only
+/// entries of the matching corner can ever hit.
 fn corner_sta<'s>(
     shared: &Shared,
     guard: &'s mut Session,
@@ -808,27 +750,13 @@ fn corner_sta<'s>(
                 None,
             ));
         };
-        let (netlist, parasitics) =
-            match load_design(&guard.netlist_path, guard.spef_path.as_deref()) {
-                Ok(pair) => pair,
-                Err(msg) => return Err(error_response(&msg, None)),
-            };
-        let sta = match IncrementalSta::with_config(
-            netlist,
-            &tech().1,
+        let sta = session_sta(
+            shared,
+            &guard.netlist_path,
+            guard.spef_path.as_deref(),
             process,
-            parasitics,
-            shared.exec.clone(),
-        ) {
-            Ok(sta) => sta,
-            Err(e) => return Err(error_response(&e.to_string(), None)),
-        };
-        if let Some(store) = &shared.store {
-            let cache = sta.executor().cache();
-            cache.enable_journal();
-            // A vanished store costs warmth, not the replica.
-            let _ = store.replay(cache);
-        }
+        )
+        .map_err(|msg| error_response(&msg, None))?;
         guard.corners.insert(token.to_string(), sta);
     }
     let sta = guard
@@ -1161,25 +1089,25 @@ fn cmd_stats(shared: &Shared) -> Json {
         .iter()
         .map(|(k, v)| (k.clone(), Arc::clone(v)))
         .collect();
+    // Every session row reports the daemon's one shared cache.
+    let cache = shared
+        .cache
+        .as_deref()
+        .map(SolveCache::stats)
+        .unwrap_or_default();
     let mut rows = Vec::with_capacity(sessions.len());
     for (name, session) in sessions {
         let guard = session
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let cache = guard.sta.cache_stats();
-        // The per-session corner matrix: one row per resident analyzer
-        // (base plus every materialized corner replica).
-        let corners: Vec<Json> = guard
-            .analyzers()
+        // The per-session corner matrix: one row per resident analyzer, the
+        // base first, then the materialized corner replicas in name order.
+        let corners: Vec<Json> = std::iter::once(("base", &guard.sta))
+            .chain(guard.corners.iter().map(|(k, v)| (k.as_str(), v)))
             .map(|(corner, sta)| {
-                let c = sta.cache_stats();
                 Json::obj(vec![
                     ("corner", Json::str(corner)),
                     ("edits", Json::num(sta.edits_applied() as f64)),
-                    ("cache_hits", Json::num(c.hits as f64)),
-                    ("cache_misses", Json::num(c.misses as f64)),
-                    ("cache_admitted", Json::num(c.admitted as f64)),
-                    ("cache_skipped", Json::num(c.skipped as f64)),
                 ])
             })
             .collect();

@@ -13,8 +13,9 @@
 //!   `eco`, `what-if`, `query`, `stats`, `shutdown`) and the
 //!   severity/exit-code mapping shared with the batch CLI;
 //! - [`store`] — the checksummed append-only solve log: written behind
-//!   live requests, replayed (skipping corrupt entries) into fresh
-//!   sessions, so even a restarted daemon starts warm;
+//!   live requests, replayed (skipping corrupt entries) into the daemon's
+//!   one shared solve cache at bind, so even a restarted daemon starts
+//!   warm;
 //! - [`client`] — a blocking client used by `xtalk client`, the tests and
 //!   the benches;
 //! - [`json`] — the dependency-free JSON value type under all of it.
@@ -22,14 +23,14 @@
 //! The service degrades, it does not die: requests carry cooperative
 //! deadlines (`deadline_ms`, enforced inside the solver's wavefront
 //! scheduler), a panicked request quarantines only that design's session
-//! (rebuilt from the store on the next `load`), admission control answers
-//! overload with typed retryable `busy` responses instead of queueing
-//! unboundedly, and the store compacts its log in crash-safe generations
-//! ([`SolveStore::compact`]) under a configurable fsync policy
-//! ([`SyncPolicy`]).
+//! (rebuilt on the next `load`, over the still-warm shared cache),
+//! admission control answers overload with typed retryable `busy`
+//! responses instead of queueing unboundedly, and the store compacts its
+//! log in crash-safe generations ([`SolveStore::compact`]) under a
+//! configurable fsync policy ([`SyncPolicy`]).
 //!
-//! The invariant the whole subsystem leans on: the stage-solve cache is
-//! exact-match on bit-canonical solver inputs, so *nothing here changes
+//! The invariant the whole subsystem leans on: the daemon's solve cache
+//! is exact-match on bit-canonical solver inputs, so *nothing here changes
 //! numbers*. Resident sessions, replayed stores and concurrent clients
 //! reproduce the batch CLI's results bit for bit; the service only changes
 //! how much work producing them takes.

@@ -50,7 +50,7 @@
 //! `"busy"` (admission control rejected the request, exit code
 //! [`EXIT_BUSY`], `retryable: true`, with `queue_depth`/`limit`), or
 //! `"quarantined"` (the request panicked; the design's session was
-//! dropped and will be rebuilt from the store on the next `load`).
+//! dropped and will be rebuilt on the next `load`).
 
 use std::io::{Read, Write};
 

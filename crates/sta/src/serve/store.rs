@@ -1,8 +1,8 @@
 //! The persistent cross-process solve store: a checksummed append-only
 //! log of stage-solve cache entries.
 //!
-//! The daemon writes solved (key, waveform) pairs behind each request; on
-//! startup the log is replayed into every fresh session's stage-solve
+//! The daemon writes solved (key, waveform) pairs behind each request; at
+//! bind the log is replayed once into the daemon's shared stage-solve
 //! cache, so the first analysis after a daemon restart begins warm and
 //! performs strictly fewer Newton integrations than a cold batch run.
 //! Because the cache is exact-match on the solver's full bit-canonical
@@ -72,7 +72,7 @@ static FORMAT: Format<u64> = Format {
 /// Counters describing a store's lifetime (replay + appends).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreStats {
-    /// Entries successfully replayed into session caches.
+    /// Entries successfully replayed into the daemon's cache.
     pub replayed: u64,
     /// Corrupt records skipped during replay (checksum, parse or waveform
     /// failures), plus one for a truncated/unframed tail if hit.
@@ -315,10 +315,17 @@ fn decode_payload(payload: &[u8]) -> Option<(SolveKey, Waveform)> {
         return None; // trailing bytes: not a record we wrote
     }
     let result = Waveform::new(points).ok()?;
-    Some((
-        SolveKey::from_parts(cell, stage, slot, flags, corner, wave, cground, couplings),
-        result,
-    ))
+    let key = SolveKey {
+        cell,
+        stage,
+        slot,
+        flags,
+        corner,
+        wave,
+        cground,
+        couplings,
+    };
+    Some((key, result))
 }
 
 #[cfg(test)]
@@ -332,23 +339,23 @@ mod tests {
     }
 
     fn entry(tag: u32) -> (SolveKey, Waveform) {
-        let key = SolveKey::from_parts(
-            "INVX1".into(),
-            0,
-            tag,
-            1,
-            0,
-            vec![(1, 2), (3, u64::from(tag))],
-            42,
-            vec![(7, 1)],
-        );
+        let key = SolveKey {
+            cell: "INVX1".into(),
+            stage: 0,
+            slot: tag,
+            flags: 1,
+            corner: 0,
+            wave: vec![(1, 2), (3, u64::from(tag))],
+            cground: 42,
+            couplings: vec![(7, 1)],
+        };
         let wave = Waveform::new(vec![(0.0, 0.0), (1e-9 * f64::from(tag + 1), 3.3)])
             .expect("valid waveform");
         (key, wave)
     }
 
     fn cache() -> SolveCache {
-        SolveCache::new(true, 1 << 12)
+        SolveCache::new()
     }
 
     #[test]

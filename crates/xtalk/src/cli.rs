@@ -23,9 +23,8 @@
 //!
 //! `--threads N` sizes the wavefront scheduler's worker pool (`1` forces
 //! the serial engine); it overrides the `XTALK_THREADS` environment
-//! variable. `XTALK_CACHE=0` disables the stage-solve cache, which only
-//! inserts solves whose measured Newton-iteration cost clears an adaptive
-//! floor.
+//! variable. `XTALK_CACHE=0` disables solve reuse: the per-stage memo, and
+//! in `serve --store` the daemon's keyed solve cache.
 //!
 //! Recoverable analysis faults degrade to conservative bounds and are
 //! listed as diagnostics; [`run_with_code`] keys the exit code to the worst
@@ -42,6 +41,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use xtalk_netlist::{GeneratorConfig, Netlist};
+use xtalk_sta::design::LoadError;
+use xtalk_sta::serve::proto::exit_code_for;
 use xtalk_sta::{AnalysisMode, ExecConfig, IncrementalSta, ModeReport, Severity, Sta};
 use xtalk_tech::{Library, Process};
 
@@ -74,6 +75,15 @@ fn err(msg: impl Into<String>) -> CliError {
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         err(format!("i/o error: {e}"))
+    }
+}
+
+impl From<LoadError> for CliError {
+    fn from(e: LoadError) -> Self {
+        match e {
+            LoadError::Io(_, error) => error.into(),
+            LoadError::Invalid(message) => err(message),
+        }
     }
 }
 
@@ -127,20 +137,23 @@ a request may override it with --deadline. An expired deadline cancels the
 analysis cooperatively, rolls the session back, and exits 4 (retryable).
 Admission control answers overload with a typed busy response, exit 5
 (retryable). A panicked request quarantines only that design's session;
-re-load rebuilds it from the solve store. --store-sync picks append
-durability (default interval: fsync at most once/second); --compact-threshold
-auto-compacts the store log past a size; `client compact` does it on demand.
+re-load rebuilds it over the daemon's warm solve cache. --store-sync picks
+append durability (default interval: fsync at most once/second);
+--compact-threshold auto-compacts the store log past a size; `client
+compact` does it on demand.
 
 MODES: best | doubled | worst | onestep | iterative (default) | esperance | min
 
 PARALLELISM: --threads N sizes the wavefront worker pool (1 = serial engine);
 overrides XTALK_THREADS.
 
-CACHING: the stage-solve cache stores only solves whose measured
-Newton-iteration cost clears an adaptive floor, keeping it out of the way
-of cheap shallow stages. Results are bit-identical with or without it —
-the cache changes what is reused, never what is computed. XTALK_CACHE=0
-disables it.
+CACHING: a per-stage memo answers every stage solve whose inputs are
+bit-identical to an earlier one — refinement passes, repeated modes, warm
+re-analyses. `serve --store` adds one keyed solve cache per daemon, shared
+by every session and corner and refilled from the store at startup; it
+keeps only solves whose measured Newton-iteration cost clears an adaptive
+floor. Results are bit-identical with or without either — reuse changes
+what is recomputed, never what is computed. XTALK_CACHE=0 disables both.
 
 FAST PATH: stage solves whose query falls inside the characterized
 macromodel grid are answered by table interpolation with a certified,
@@ -178,15 +191,6 @@ pub struct CliOutcome {
     /// Process exit code: 0 clean, 2 warnings contained, 3 bounds
     /// substituted.
     pub exit_code: i32,
-}
-
-/// Exit code for the worst severity of a completed (degraded) run.
-fn exit_code_for(severity: Option<Severity>) -> i32 {
-    match severity {
-        None | Some(Severity::Info) => 0,
-        Some(Severity::Warning) => 2,
-        Some(Severity::Error) => 3,
-    }
 }
 
 /// Runs the CLI on `args` (without the program name); returns the text to
@@ -234,35 +238,7 @@ pub fn run_with_code(args: &[String]) -> Result<CliOutcome, CliError> {
 }
 
 fn parse_mode(name: &str) -> Result<AnalysisMode, CliError> {
-    Ok(match name {
-        "best" => AnalysisMode::BestCase,
-        "doubled" => AnalysisMode::StaticDoubled,
-        "worst" => AnalysisMode::WorstCase,
-        "onestep" => AnalysisMode::OneStep,
-        "iterative" => AnalysisMode::Iterative { esperance: false },
-        "esperance" => AnalysisMode::Iterative { esperance: true },
-        "min" => AnalysisMode::MinDelay,
-        other => return Err(err(format!("unknown mode `{other}`"))),
-    })
-}
-
-fn load_netlist(path: &str, library: &Library) -> Result<Netlist, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    match ext {
-        "bench" => {
-            xtalk_netlist::bench::parse(&text, library).map_err(|e| err(format!("{path}: {e}")))
-        }
-        "v" => {
-            xtalk_netlist::verilog::parse(&text, library).map_err(|e| err(format!("{path}: {e}")))
-        }
-        other => Err(err(format!(
-            "unsupported netlist extension `.{other}` (use .bench or .v)"
-        ))),
-    }
+    xtalk_sta::serve::proto::parse_mode(name).ok_or_else(|| err(format!("unknown mode `{name}`")))
 }
 
 fn save_netlist(path: &str, netlist: &Netlist, library: &Library) -> Result<(), CliError> {
@@ -399,7 +375,6 @@ fn fault_plan_from_flags(
         "truncated-table" => xtalk_sta::Fault::TruncatedTable,
         "divergent-stage" => xtalk_sta::Fault::DivergentStage,
         "mid-job-panic" => xtalk_sta::Fault::MidJobPanic,
-        "poisoned-cache" => xtalk_sta::Fault::PoisonedCache,
         other => return Err(err(format!("unknown fault class `{other}`"))),
     };
     let seed: u64 = seed
@@ -487,31 +462,8 @@ struct LoadedDesign {
 fn load_design(netlist_path: &str, spef: Option<&str>) -> Result<LoadedDesign, CliError> {
     let process = Process::c05um();
     let library = Library::c05um(&process);
-    let netlist = load_netlist(netlist_path, &library)?;
-    netlist
-        .validate(&library)
-        .map_err(|e| err(format!("{netlist_path}: {e}")))?;
-    let parasitics = match spef {
-        Some(spef_path) => {
-            let text = std::fs::read_to_string(spef_path)?;
-            // SPEF carries no per-sink resistances; recover them from a
-            // fresh routing of the same netlist.
-            let mut para = xtalk_layout::spef::parse(&text, &netlist)
-                .map_err(|e| err(format!("{spef_path}: {e}")))?;
-            let placement = xtalk_layout::place::place(&netlist, &library, &process);
-            let routes = xtalk_layout::route::route(&netlist, &placement, &process);
-            let routed = xtalk_layout::extract::extract(&netlist, &routes, &process);
-            for (a, b) in para.nets.iter_mut().zip(&routed.nets) {
-                a.sinks = b.sinks.clone();
-            }
-            para
-        }
-        None => {
-            let placement = xtalk_layout::place::place(&netlist, &library, &process);
-            let routes = xtalk_layout::route::route(&netlist, &placement, &process);
-            xtalk_layout::extract::extract(&netlist, &routes, &process)
-        }
-    };
+    let (netlist, parasitics) =
+        xtalk_sta::design::load_design(netlist_path, spef, &process, &library)?;
     Ok(LoadedDesign {
         process,
         library,
@@ -721,7 +673,7 @@ fn cmd_convert(args: &[String]) -> Result<String, CliError> {
     };
     let process = Process::c05um();
     let library = Library::c05um(&process);
-    let netlist = load_netlist(input, &library)?;
+    let netlist = xtalk_sta::design::read_netlist(input, &library)?;
     save_netlist(output, &netlist, &library)?;
     Ok(format!(
         "converted {input} -> {output} ({} gates)\n",
@@ -771,10 +723,10 @@ fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
     let wanted: Option<Vec<&str>> = flag(&flags, "cells")
         .flatten()
         .map(|s| s.split(',').collect());
-    // One characterization pass on the macromodel fast path's grid
-    // (DESIGN.md D12): the `.lib` writer consumes the quiet slice and the
-    // coupled (active-aggressor) tables ride along for crosstalk-aware
-    // consumers, instead of sweeping a second, private grid.
+    // A sweep of its own on the macromodel fast path's grid (DESIGN.md
+    // D12), separate from the analyzer's per-arc characterization: the
+    // `.lib` writer consumes the quiet slice and the coupled
+    // (active-aggressor) tables ride along for crosstalk-aware consumers.
     let slews = xtalk_wave::macromodel::GRID_SLEWS;
     let loads = xtalk_wave::macromodel::GRID_LOADS;
     let ratios = xtalk_wave::macromodel::GRID_RATIOS;
@@ -842,14 +794,16 @@ fn cmd_sdf(args: &[String]) -> Result<String, CliError> {
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
     let config = exec_config(&flags)?;
+    let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     let sta = Sta::with_config(&d.netlist, &d.library, &d.process, &d.parasitics, config)
         .map_err(|e| err(e.to_string()))?;
     let sdf = xtalk_sta::write_sdf(&sta, mode).map_err(|e| err(e.to_string()))?;
     std::fs::write(output, &sdf)?;
     Ok(format!(
-        "wrote {output} ({} IOPATH entries, mode {mode})\n",
-        sdf.matches("(IOPATH").count()
+        "wrote {output} ({} IOPATH entries, mode {mode})\n{}",
+        sdf.matches("(IOPATH").count(),
+        characterization_summary(&char_store)
     ))
 }
 
@@ -896,18 +850,6 @@ fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
         eco.graph().stages.len() * report.passes,
         report.stage_solves,
         report.runtime.as_secs_f64()
-    );
-    let cache = eco.cache_stats();
-    let _ = writeln!(
-        out,
-        "cache: {} hits, {} misses, {} evictions ({:.0}% hit; \
-         admission {} admitted, {} skipped)",
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        100.0 * cache.hit_ratio(),
-        cache.admitted,
-        cache.skipped
     );
     let _ = write!(out, "{}", xtalk_sta::report::solver_table(&report));
     let _ = write!(out, "{}", diagnostics_block(&report));
@@ -1276,14 +1218,11 @@ fn render_client_response(action: &str, resp: &xtalk_sta::serve::Json) -> String
                     if let Some(corners) = s.get("corners").and_then(Json::as_arr) {
                         if corners.len() > 1 {
                             for c in corners {
-                                let cn = |key: &str| c.get(key).and_then(Json::as_u64).unwrap_or(0);
                                 let _ = writeln!(
                                     out,
-                                    "  corner {}: {} edits, cache {} hits / {} misses",
+                                    "  corner {}: {} edits",
                                     c.str_field("corner").unwrap_or("?"),
-                                    cn("edits"),
-                                    cn("cache_hits"),
-                                    cn("cache_misses")
+                                    c.get("edits").and_then(Json::as_u64).unwrap_or(0)
                                 );
                             }
                         }

@@ -396,3 +396,45 @@ fn torn_tail_is_healed_by_the_next_append() {
     let _ = std::fs::remove_file(&store);
     let _ = std::fs::remove_file(&torn);
 }
+
+/// `xtalk sdf --char-store` ends with the characterization line, as
+/// `report` and `eco` do. Run twice in fresh processes on one store, the
+/// first run characterizes and the rerun replays every table, writing the
+/// same SDF bytes.
+#[test]
+fn sdf_char_store_rerun_replays_every_table() {
+    let store = tmp_store("sdf");
+    let _ = std::fs::remove_file(&store);
+    let xtalk = |args: &[&str]| -> String {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtalk"))
+            .args(args)
+            .output()
+            .expect("run xtalk");
+        assert!(
+            out.status.success(),
+            "xtalk {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let bench = store.with_extension("bench").to_string_lossy().into_owned();
+    xtalk(&["generate", "--preset", "small", "--seed", "7", &bench]);
+    let store_arg = store.to_string_lossy().into_owned();
+    let grid_solves = |out: &str| -> usize {
+        let last = out.lines().last().unwrap_or_default();
+        last.strip_prefix("characterization: ")
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no characterization line last: {out}"))
+    };
+    let mut runs = Vec::new();
+    for tag in ["cold", "warm"] {
+        let sdf = store.with_extension(format!("{tag}.sdf"));
+        let sdf_arg = sdf.to_string_lossy().into_owned();
+        let out = xtalk(&["sdf", &bench, &sdf_arg, "--char-store", &store_arg]);
+        runs.push((grid_solves(&out), std::fs::read(&sdf).expect("sdf file")));
+    }
+    assert!(runs[0].0 > 0, "the first run characterizes");
+    assert_eq!(runs[1].0, 0, "the rerun replays every table from the store");
+    assert_eq!(runs[0].1, runs[1].1, "the store must not change the SDF");
+}

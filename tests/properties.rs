@@ -88,8 +88,9 @@ proptest! {
 
     /// A parallel wavefront run is bit-identical to the serial engine in
     /// every analysis mode: same delay bits, same pass trajectory, same
-    /// critical endpoint. With the reuse caches off (so no hit depends on
-    /// task order) it also accounts the same solver work in every pass.
+    /// critical endpoint, and the same solver work in every pass, with the
+    /// memo on or off — each stage's memo lookups run inside that stage's
+    /// one task, so no hit depends on task order.
     #[test]
     fn parallel_matches_serial_bitwise(seed in 0u64..1000, gates in 24usize..56, depth in 3usize..6) {
         let process = Process::c05um();
@@ -124,18 +125,16 @@ proptest! {
                 for (x, y) in a.pass_delays.iter().zip(&b.pass_delays) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
-                if !cache {
-                    for (i, (x, y)) in a.pass_stats.iter().zip(&b.pass_stats).enumerate() {
-                        prop_assert_eq!(x.work, y.work, "{} pass {}", mode, i + 1);
-                    }
+                for (i, (x, y)) in a.pass_stats.iter().zip(&b.pass_stats).enumerate() {
+                    prop_assert_eq!(x.work, y.work, "{} pass {}", mode, i + 1);
                 }
             }
         }
     }
 
-    /// The stage-solve cache is transparent: a warm re-run answers every
-    /// solver call from the cache, and clearing it mid-run never changes
-    /// a single arrival bit.
+    /// The per-stage solve memo is transparent: a warm re-run answers every
+    /// solver call from it, and clearing it mid-run never changes a single
+    /// arrival bit.
     #[test]
     fn solve_cache_is_transparent(seed in 0u64..1000, gates in 24usize..56) {
         let process = Process::c05um();
@@ -149,9 +148,9 @@ proptest! {
         let uncached = Sta::with_config(&netlist, &library, &process, &parasitics,
             ExecConfig::serial().with_cache(false)).expect("sta");
         let reference = uncached.analyze(mode).expect("uncached");
-        // With the solve cache off the only reuse layer left is the
-        // characterized macromodel (layer 0), so every hit is a table hit
-        // and everything else was integrated from scratch.
+        // With the memo off the only reuse layer left is the characterized
+        // macromodel (layer 0), so every hit is a table hit and everything
+        // else was integrated from scratch.
         prop_assert_eq!(reference.cache_hits, reference.table_hits);
         prop_assert_eq!(reference.newton_solves + reference.table_hits,
             reference.stage_solves);
@@ -167,7 +166,7 @@ proptest! {
             prop_assert_eq!(r.endpoint_net, reference.endpoint_net);
             prop_assert_eq!(r.passes, reference.passes);
         }
-        // The warm replay answers everything from the cache.
+        // The warm replay answers everything from the memo and the tables.
         prop_assert_eq!(warm.cache_hits, warm.stage_solves);
         prop_assert_eq!(warm.newton_solves, 0);
         // Refinement passes re-solve only stages whose coupling decisions
@@ -176,9 +175,9 @@ proptest! {
     }
 
     /// Warm-started solving is invisible in the results: an analyzer whose
-    /// reuse layers (per-stage warm-start memo, cost-admitted solve cache)
-    /// are fully populated by earlier runs produces bit-identical reports
-    /// to a fully cold uncached engine — serial and threaded, every mode.
+    /// per-stage memo is fully populated by earlier runs produces
+    /// bit-identical reports to a fully cold uncached engine — serial and
+    /// threaded, every mode.
     #[test]
     fn warm_start_matches_cold_start_bitwise(seed in 0u64..1000, gates in 24usize..48) {
         let process = Process::c05um();

@@ -234,44 +234,6 @@ fn strict_mode_restores_fail_fast() {
 }
 
 #[test]
-fn poisoned_cache_entries_are_detected_and_evicted() {
-    let (process, library, netlist, parasitics) = build_design(31);
-    let sta = Sta::with_config(
-        &netlist,
-        &library,
-        &process,
-        &parasitics,
-        ExecConfig::serial().with_cache(true),
-    )
-    .expect("sta");
-    let free = sta.analyze(AnalysisMode::OneStep).expect("clean analyze");
-
-    // First faulted run corrupts every fresh cache entry as it is inserted.
-    sta.set_fault_plan(Some(FaultPlan::new(Fault::PoisonedCache, 7, 1)));
-    sta.clear_solve_cache();
-    let _ = sta.analyze(AnalysisMode::OneStep).expect("poisoning run");
-
-    // Second run with the plan cleared hits the poisoned entries: every one
-    // must fail its integrity check and be re-solved, never served.
-    sta.set_fault_plan(None);
-    let reread = sta.analyze(AnalysisMode::OneStep).expect("re-read run");
-    assert!(
-        reread
-            .diagnostics
-            .iter()
-            .any(|d| d.fault == FaultClass::CacheCorruption),
-        "expected CacheCorruption diagnostics, got {:?}",
-        reread.diagnostics
-    );
-    // Evict-and-resolve means the numbers match the clean run exactly.
-    assert_eq!(
-        fingerprint(&free),
-        fingerprint(&reread),
-        "corrupted entries must be re-solved, not served"
-    );
-}
-
-#[test]
 fn cli_strict_flag_turns_degraded_runs_into_errors() {
     let dir = std::env::temp_dir().join("xtalk_robustness_cli");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -6,10 +6,10 @@
 //! 1. **Per-corner serial == threaded, bitwise, every mode.** A corner run
 //!    inside the matrix inherits the engine's schedule-independence: the
 //!    wavefront order changes when solves land, never their values.
-//! 2. **Warm == cold, bitwise.** A matrix re-run answers from the memo and
-//!    keyed cache its first run filled; every served entry is the querying
-//!    corner's own exact-match bits, so the warm report equals a fresh
-//!    matrix's, on the signoff engine and on the default fast path.
+//! 2. **Warm == cold, bitwise.** A matrix re-run answers from the memo its
+//!    first run filled; every served entry is the querying corner's own
+//!    exact-match bits, so the warm report equals a fresh matrix's, on the
+//!    signoff engine and on the default fast path.
 //! 3. **The golden `ScenarioReport`.** The default ss/tt/ff matrix over a
 //!    fixed design, serialized with full `f64` bit patterns, committed at
 //!    `tests/golden/scenario_small_97.txt`.

@@ -228,6 +228,68 @@ fn restarted_daemon_starts_warm_from_the_store_and_stays_bit_identical() {
     );
 }
 
+/// A store-backed daemon keeps one keyed solve cache: a second session's
+/// first analysis of the same design answers from what the first solved,
+/// bit-identical to the batch CLI, and a restarted daemon reads its store
+/// once, at bind, however many sessions and corner replicas follow.
+#[test]
+fn sessions_share_one_cache_and_the_store_is_read_once() {
+    let bench = make_bench("shared.bench", 29);
+    let store = tmp("shared.store");
+    let _ = std::fs::remove_file(&store);
+    let socket = tmp("shared.sock");
+    let path = bench.to_string_lossy().into_owned();
+    let reference = batch_bits(&bench, "onestep");
+    // A `stats` counter of the store, or of the first session row.
+    let counter = |stats: &Json, section: &str, key: &str| {
+        let section = ok(stats).get(section).expect("stats section");
+        let row = section.as_arr().map_or(section, |rows| &rows[0]);
+        row.get(key).and_then(Json::as_u64).expect("stats counter")
+    };
+
+    let daemon = start_daemon(&socket, Some(&store));
+    let mut client = connect(&socket);
+    ok(&client.load("d1", &path, None).expect("load d1"));
+    let first = client.analyze("d1", Some("onestep")).expect("analyze d1");
+    let before = counter(&client.stats().expect("stats"), "sessions", "cache_hits");
+    ok(&client.load("d2", &path, None).expect("load d2"));
+    let second = client.analyze("d2", Some("onestep")).expect("analyze d2");
+    let stats = client.stats().expect("stats");
+    assert!(
+        counter(&stats, "sessions", "cache_hits") > before,
+        "d2's first analysis hits what d1 solved: {stats}"
+    );
+    assert!(newton_iters(&second) < newton_iters(&first));
+    assert_eq!(delay_bits(ok(&first)), reference);
+    assert_eq!(delay_bits(ok(&second)), reference);
+    let records = counter(&stats, "store", "appended");
+    assert!(records > 0, "write-behind populated the store: {stats}");
+    ok(&client.shutdown().expect("shutdown"));
+    daemon.join().expect("daemon 1");
+
+    let daemon = start_daemon(&socket, Some(&store));
+    let mut client = connect(&socket);
+    for design in ["d1", "d2"] {
+        let load = client.load(design, &path, None).expect("reload");
+        assert_eq!(
+            ok(&load).get("store_replayed").and_then(Json::as_u64),
+            Some(records),
+            "every load reports the one replay at bind: {load}"
+        );
+    }
+    client.set_corner(Some("ss"));
+    ok(&client.analyze("d1", Some("onestep")).expect("analyze ss"));
+    client.set_corner(None);
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        counter(&stats, "store", "replayed"),
+        records,
+        "two sessions and a corner replica read the store once: {stats}"
+    );
+    ok(&client.shutdown().expect("shutdown"));
+    daemon.join().expect("daemon 2");
+}
+
 #[test]
 fn corrupt_store_entries_are_skipped_never_served() {
     let bench = make_bench("corrupt.bench", 23);
