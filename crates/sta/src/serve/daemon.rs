@@ -248,6 +248,9 @@ struct Shared {
     deadline_hits: AtomicU64,
     busy_rejections: AtomicU64,
     store_write_failures: AtomicU64,
+    /// Held across a journal drain and its append, so whoever takes it
+    /// next finds the append done.
+    flushing: Mutex<()>,
     /// Solver work of every completed served analysis (analyze, what-if,
     /// query), surfaced as the `stats` response's table counters.
     work: Mutex<SolveCounters>,
@@ -345,6 +348,7 @@ impl Daemon {
                 deadline_hits: AtomicU64::new(0),
                 busy_rejections: AtomicU64::new(0),
                 store_write_failures: AtomicU64::new(0),
+                flushing: Mutex::new(()),
                 work: Mutex::new(SolveCounters::default()),
                 conns: Mutex::new(HashMap::new()),
                 next_conn: AtomicU64::new(0),
@@ -539,11 +543,13 @@ fn acquire_inflight(shared: &Shared) -> bool {
     }
 }
 
-/// Write-behind: drains the shared cache's solve journal into the store.
+/// Write-behind: drains the shared cache's solve journal into the store,
+/// under one lock from drain to append.
 fn flush_journal(shared: &Shared, _request_index: u64) {
     let (Some(store), Some(cache)) = (&shared.store, &shared.cache) else {
         return;
     };
+    let _flushing = lock(&shared.flushing);
     let entries = cache.drain_journal();
     if entries.is_empty() {
         return;
@@ -600,7 +606,7 @@ fn handle_request(shared: &Shared, request: &Json, request_index: u64) -> Json {
             }
         }
         "compact" => cmd_compact(shared),
-        "stats" => cmd_stats(shared),
+        "stats" => cmd_stats(shared, request_index),
         "shutdown" => Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("bye", Json::Bool(true)),
@@ -1084,7 +1090,11 @@ fn cmd_query(shared: &Shared, request: &Json) -> Json {
     Json::obj(fields)
 }
 
-fn cmd_stats(shared: &Shared) -> Json {
+fn cmd_stats(shared: &Shared, request_index: u64) -> Json {
+    // Another connection may have answered and not yet appended: wait for
+    // an append in progress and flush what is pending, so the store
+    // counters below count every solve already answered.
+    flush_journal(shared, request_index);
     let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_sessions(shared)
         .iter()
         .map(|(k, v)| (k.clone(), Arc::clone(v)))

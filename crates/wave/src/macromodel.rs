@@ -40,7 +40,9 @@
 //! Models live in a process-global store keyed by a stable hash of the
 //! process, cell, stage, switching slot, output direction and side values
 //! (see [`arc_key`]), so characterization is paid once per process however
-//! many analyzers are built. Characterization itself is a deterministic
+//! many analyzers are built, and once per electrically distinct arc
+//! however many keys name it ([`characterize_work`]). Characterization
+//! itself is a deterministic
 //! pure function of `(process, arc)` and the store insert is first-wins,
 //! so *when* and *on which thread* an arc is characterized — by the
 //! analyzer's design-driven binding, by the library-wide sweep for tools
@@ -246,6 +248,24 @@ struct SliceTables {
     qoff: Vec<f64>,
 }
 
+impl SliceTables {
+    fn zeroed(n: usize) -> SliceTables {
+        SliceTables {
+            delay: vec![0.0; n],
+            slew: vec![0.0; n],
+            aoff: vec![0.0; n],
+            qoff: vec![0.0; n],
+        }
+    }
+
+    fn set(&mut self, i: usize, s: &Sample) {
+        self.delay[i] = s.delay;
+        self.slew[i] = s.slew;
+        self.aoff[i] = s.aoff;
+        self.qoff[i] = s.qoff;
+    }
+}
+
 /// A characterized timing arc: interpolation tables plus certified pads.
 #[derive(Debug, Clone, Default)]
 pub struct ArcModel {
@@ -279,9 +299,10 @@ pub struct StoreStats {
     pub usable: usize,
     /// Usable models that serve fewer than [`SLEW_ROWS`] slew rows.
     pub trimmed: usize,
-    /// Lifetime characterization Newton solves performed by
-    /// [`characterize_arc`] (grid sweep plus validation probes) — the cost
-    /// the characterization store amortizes away.
+    /// Lifetime characterization samples solved by [`characterize_arc`]
+    /// (grid sweep plus validation probes; a sample forked off a shared
+    /// trajectory counts one) — the cost the characterization store
+    /// amortizes away.
     pub char_solves: usize,
 }
 
@@ -453,15 +474,7 @@ impl ArcModel {
         let (li, fl) = axis(&GRID_LOADS, ctot).ok_or(FallbackReason::OutOfGridLoad)?;
         let sh = shape as usize;
         let sample = match ratio {
-            None => {
-                let t = &self.quiet[sh];
-                Sample {
-                    delay: bilerp(&t.delay, 0, si, fs, li, fl),
-                    slew: bilerp(&t.slew, 0, si, fs, li, fl),
-                    aoff: bilerp(&t.aoff, 0, si, fs, li, fl),
-                    qoff: bilerp(&t.qoff, 0, si, fs, li, fl),
-                }
-            }
+            None => self.sample(sh, si, fs, li, fl, None),
             Some(r) => {
                 // Ratios below the grid floor (tiny aggressors, or a small
                 // active subset of a larger family) are clamped up: the
@@ -469,15 +482,9 @@ impl ArcModel {
                 // floor errs late. `fold_load` capped the family's total
                 // ratio, so only the low side can clamp.
                 let clamped = r < GRID_RATIOS[0];
-                let (ri, fr) =
+                let cell =
                     axis(&GRID_RATIOS, r.max(GRID_RATIOS[0])).ok_or(FallbackReason::FamilyRule)?;
-                let t = &self.active[sh];
-                let mut s = Sample {
-                    delay: trilerp(&t.delay, ri, fr, si, fs, li, fl),
-                    slew: trilerp(&t.slew, ri, fr, si, fs, li, fl),
-                    aoff: trilerp(&t.aoff, ri, fr, si, fs, li, fl),
-                    qoff: trilerp(&t.qoff, ri, fr, si, fs, li, fl),
-                };
+                let mut s = self.sample(sh, si, fs, li, fl, Some(cell));
                 if clamped {
                     // A clamped query's truth sits between the quiet slice
                     // (its `r -> 0` limit) and the floor slice. Slew and
@@ -488,10 +495,10 @@ impl ArcModel {
                     // conservative side of each: wider slew, later quiet,
                     // earlier band entry. Delay needs no merge — the floor
                     // sample already bounds the smaller-`r` truth.
-                    let q = &self.quiet[sh];
-                    s.slew = s.slew.max(bilerp(&q.slew, 0, si, fs, li, fl));
-                    s.qoff = s.qoff.max(bilerp(&q.qoff, 0, si, fs, li, fl));
-                    s.aoff = s.aoff.min(bilerp(&q.aoff, 0, si, fs, li, fl));
+                    let q = self.sample(sh, si, fs, li, fl, None);
+                    s.slew = s.slew.max(q.slew);
+                    s.qoff = s.qoff.max(q.qoff);
+                    s.aoff = s.aoff.min(q.aoff);
                 }
                 s
             }
@@ -509,6 +516,40 @@ impl ArcModel {
         };
         self.synthesize(out_rising, out_shape, t_in + padded.delay, &padded)
             .ok_or(FallbackReason::Shape)
+    }
+
+    /// The unpadded table sample of input shape `sh` at slew cell
+    /// `(si, fs)` and load cell `(li, fl)`: the quiet slice, or the active
+    /// slice at ratio cell `(ri, fr)`.
+    fn sample(
+        &self,
+        sh: usize,
+        si: usize,
+        fs: f64,
+        li: usize,
+        fl: f64,
+        ratio: Option<(usize, f64)>,
+    ) -> Sample {
+        match ratio {
+            None => {
+                let t = &self.quiet[sh];
+                Sample {
+                    delay: bilerp(&t.delay, 0, si, fs, li, fl),
+                    slew: bilerp(&t.slew, 0, si, fs, li, fl),
+                    aoff: bilerp(&t.aoff, 0, si, fs, li, fl),
+                    qoff: bilerp(&t.qoff, 0, si, fs, li, fl),
+                }
+            }
+            Some((ri, fr)) => {
+                let t = &self.active[sh];
+                Sample {
+                    delay: trilerp(&t.delay, ri, fr, si, fs, li, fl),
+                    slew: trilerp(&t.slew, ri, fr, si, fs, li, fl),
+                    aoff: trilerp(&t.aoff, ri, fr, si, fs, li, fl),
+                    qoff: trilerp(&t.qoff, ri, fr, si, fs, li, fl),
+                }
+            }
+        }
     }
 
     /// Classifies a waveform by its initial value against the coupling
@@ -762,11 +803,27 @@ fn cummax(vals: &mut [f64], nr: usize, along_ratio: bool) {
     }
 }
 
+/// Grid points whose full-swing solver outputs, mirrored into the input
+/// direction, are the realistic-shape validation probes: `(slew index,
+/// load index)`, each quiet and at the active ratio
+/// `GRID_RATIOS[REALISTIC_RATIO]`.
+const REALISTIC: [(usize, usize); 2] = [(2, 2), (3, 4)];
+const REALISTIC_RATIO: usize = 1;
+
 /// Characterizes one timing arc against the transistor solver and
 /// certifies its interpolation error on a validation grid. The model
 /// serves the longest prefix of slew rows whose certified bounds meet the
 /// admission tolerances; it is unusable (every lookup falls back) when the
 /// arc does not sweep cleanly or not even the fastest row certifies.
+///
+/// Solves that share an input run as one family
+/// ([`StageSolver::solve_family`]): a grid point's quiet load with its
+/// active load at every [`GRID_RATIOS`] point, and a validation slew's
+/// quiet and active probes. The realistic-shape probes mirror waves the
+/// grid sweep already solved. Each characterization sample counts one
+/// [`char_solves`], whether it integrated alone or forked off a shared
+/// trajectory: 980 per arc, less any probe whose input falls off the slew
+/// grid.
 pub fn characterize_arc(
     process: &Process,
     stage: &Stage,
@@ -781,55 +838,54 @@ pub fn characterize_arc(
     let mut scratch = StageScratch::new();
     let in_rising = !out_rising;
 
-    let solve_at =
-        |scratch: &mut StageScratch, shape: InputShape, slew: f64, l: f64, ratio: Option<f64>| {
-            let t_cross = 4.0 * slew + 1e-9;
-            let input = ramp_input(&v, in_rising, shape, slew, t_cross)?;
-            let load = grid_load(l, ratio);
-            CHAR_SOLVES.fetch_add(1, Ordering::Relaxed);
-            let out = solver
-                .solve_with(scratch, stage, slot, &input, side, &load)
-                .ok()?;
-            measure(&v, out_rising, t_cross, &out.wave).map(|s| (s, out.wave))
-        };
-
     let shapes = [InputShape::Full, InputShape::Snapped];
     let mut quiet: [SliceTables; 2] = Default::default();
     let mut active: [SliceTables; 2] = Default::default();
+    let mut realistic: Vec<Waveform> = Vec::new();
     for (sh, &shape) in shapes.iter().enumerate() {
-        let scratch = &mut scratch;
-        let mut fill =
-            |nr: usize, ratio_of: &dyn Fn(usize) -> Option<f64>| -> Option<SliceTables> {
-                let n = nr * NS * NL;
-                let mut t = SliceTables {
-                    delay: vec![0.0; n],
-                    slew: vec![0.0; n],
-                    aoff: vec![0.0; n],
-                    qoff: vec![0.0; n],
-                };
-                for r in 0..nr {
-                    for (s, &slew) in GRID_SLEWS.iter().enumerate() {
-                        for (l, &load) in GRID_LOADS.iter().enumerate() {
-                            let (sample, _) = solve_at(scratch, shape, slew, load, ratio_of(r))?;
-                            let i = (r * NS + s) * NL + l;
-                            t.delay[i] = sample.delay;
-                            t.slew[i] = sample.slew;
-                            t.aoff[i] = sample.aoff;
-                            t.qoff[i] = sample.qoff;
-                        }
-                    }
-                }
-                cummax(&mut t.delay, nr, true);
-                cummax(&mut t.slew, nr, false);
-                cummax(&mut t.qoff, nr, false);
-                Some(t)
+        let mut q = SliceTables::zeroed(NS * NL);
+        let mut a = SliceTables::zeroed(NR * NS * NL);
+        for (s, &slew) in GRID_SLEWS.iter().enumerate() {
+            let t_cross = 4.0 * slew + 1e-9;
+            let Some(input) = ramp_input(&v, in_rising, shape, slew, t_cross) else {
+                return ArcModel::default();
             };
-        let Some(q) = fill(1, &|_| None) else {
-            return ArcModel::default();
-        };
-        let Some(mut a) = fill(NR, &|r| Some(GRID_RATIOS[r])) else {
-            return ArcModel::default();
-        };
+            for (l, &load) in GRID_LOADS.iter().enumerate() {
+                // Member 0 is the quiet load, member `1 + r` ratio `r`.
+                let loads: Vec<Load> = std::iter::once(None)
+                    .chain(GRID_RATIOS.map(Some))
+                    .map(|ratio| grid_load(load, ratio))
+                    .collect();
+                CHAR_SOLVES.fetch_add(loads.len(), Ordering::Relaxed);
+                let mut swept = true;
+                solver.solve_family(&mut scratch, stage, slot, &input, side, &loads, |m, out| {
+                    let Some((sample, wave)) = out.ok().and_then(|out| {
+                        Some((measure(&v, out_rising, t_cross, &out.wave)?, out.wave))
+                    }) else {
+                        swept = false;
+                        return;
+                    };
+                    match m.checked_sub(1) {
+                        None => q.set(s * NL + l, &sample),
+                        Some(r) => a.set((r * NS + s) * NL + l, &sample),
+                    }
+                    if shape == InputShape::Full
+                        && REALISTIC.contains(&(s, l))
+                        && (m == 0 || m == 1 + REALISTIC_RATIO)
+                    {
+                        realistic.push(wave);
+                    }
+                });
+                if !swept {
+                    return ArcModel::default();
+                }
+            }
+        }
+        for (t, nr) in [(&mut q, 1), (&mut a, NR)] {
+            cummax(&mut t.delay, nr, true);
+            cummax(&mut t.slew, nr, false);
+            cummax(&mut t.qoff, nr, false);
+        }
         // An opposing active aggressor never speeds the victim relative to
         // the same capacitance grounded, so clamp the active delay table to
         // the quiet baseline: cross-mode orderings (best-case <= one-step
@@ -868,93 +924,63 @@ pub fn characterize_arc(
 
     // Validation: interpolate the (clamped, unpadded) tables at off-grid
     // probes and measure the residual against a fresh transistor solve.
+    // One residual envelope per slew row: each probe widens the row its
+    // input slew falls in.
     let mids =
         |grid: &[f64]| -> Vec<f64> { grid.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect() };
     let mid_s = mids(&GRID_SLEWS);
     let mid_l = mids(&GRID_LOADS);
     let mid_r = mids(&GRID_RATIOS);
-    let mut probes: Vec<(InputShape, f64, f64, Option<f64>)> = Vec::new();
-    for &shape in &shapes {
-        for (i, &s) in mid_s.iter().enumerate() {
-            for (j, &l) in mid_l.iter().enumerate() {
-                probes.push((shape, s, l, None));
-                let r = mid_r[(i + j) % mid_r.len()];
-                probes.push((shape, s, l, Some(r)));
-            }
-        }
-    }
-
-    // One residual envelope per slew row: each probe widens the row its
-    // input slew falls in.
     let mut rows = [Envelope::default(); SLEW_ROWS];
-    let check = |scratch: &mut StageScratch,
-                 model: &ArcModel,
-                 rows: &mut [Envelope; SLEW_ROWS],
-                 input: &Waveform,
-                 l: f64,
-                 ratio: Option<f64>|
-     -> Option<()> {
-        let shape = model.classify(input, in_rising)?;
+    // Probes one input at every `(load, ratio)` of `probes`, as one family.
+    let mut check = |input: &Waveform, probes: &[(f64, Option<f64>)]| -> Option<()> {
+        let sh = model.classify(input, in_rising)? as usize;
         let slew_in = input.slew(v.slo, v.shi)?;
         let t_in = input.crossing(v.th)?;
         let (si, fs) = axis(&GRID_SLEWS, slew_in)?;
-        let (li, fl) = axis(&GRID_LOADS, l)?;
-        let sh = shape as usize;
-        let interp = match ratio {
-            None => {
-                let t = &model.quiet[sh];
-                Sample {
-                    delay: bilerp(&t.delay, 0, si, fs, li, fl),
-                    slew: bilerp(&t.slew, 0, si, fs, li, fl),
-                    aoff: bilerp(&t.aoff, 0, si, fs, li, fl),
-                    qoff: bilerp(&t.qoff, 0, si, fs, li, fl),
-                }
+        let (loads, interps): (Vec<Load>, Vec<Sample>) = probes
+            .iter()
+            .filter_map(|&(l, ratio)| {
+                let (li, fl) = axis(&GRID_LOADS, l)?;
+                let cell = match ratio {
+                    None => None,
+                    Some(r) => Some(axis(&GRID_RATIOS, r)?),
+                };
+                Some((grid_load(l, ratio), model.sample(sh, si, fs, li, fl, cell)))
+            })
+            .unzip();
+        CHAR_SOLVES.fetch_add(loads.len(), Ordering::Relaxed);
+        solver.solve_family(&mut scratch, stage, slot, input, side, &loads, |m, out| {
+            if let Some(truth) = out
+                .ok()
+                .and_then(|out| measure(&v, out_rising, t_in, &out.wave))
+            {
+                rows[si].widen(&truth, &interps[m]);
             }
-            Some(r) => {
-                let (ri, fr) = axis(&GRID_RATIOS, r)?;
-                let t = &model.active[sh];
-                Sample {
-                    delay: trilerp(&t.delay, ri, fr, si, fs, li, fl),
-                    slew: trilerp(&t.slew, ri, fr, si, fs, li, fl),
-                    aoff: trilerp(&t.aoff, ri, fr, si, fs, li, fl),
-                    qoff: trilerp(&t.qoff, ri, fr, si, fs, li, fl),
-                }
-            }
-        };
-        let load = grid_load(l, ratio);
-        CHAR_SOLVES.fetch_add(1, Ordering::Relaxed);
-        let out = solver
-            .solve_with(scratch, stage, slot, input, side, &load)
-            .ok()?;
-        let truth = measure(&v, out_rising, t_in, &out.wave)?;
-        rows[si].widen(&truth, &interp);
+        });
         Some(())
     };
 
-    for &(shape, s, l, ratio) in &probes {
-        let t_cross = 4.0 * s + 1e-9;
-        if let Some(input) = ramp_input(&v, in_rising, shape, s, t_cross) {
-            let _ = check(&mut scratch, &model, &mut rows, &input, l, ratio);
+    for &shape in &shapes {
+        for (i, &s) in mid_s.iter().enumerate() {
+            let probes: Vec<(f64, Option<f64>)> = mid_l
+                .iter()
+                .enumerate()
+                .flat_map(|(j, &l)| [(l, None), (l, Some(mid_r[(i + j) % mid_r.len()]))])
+                .collect();
+            if let Some(input) = ramp_input(&v, in_rising, shape, s, 4.0 * s + 1e-9) {
+                let _ = check(&input, &probes);
+            }
         }
     }
     // Realistic-shape probes: the arc's own solver outputs, mirrored into
     // the input direction, raw and wire-stretched — these fold the
     // ramp-vs-solver shape substitution error into the certified pads.
-    for &(s, l) in &[
-        (GRID_SLEWS[2], GRID_LOADS[2]),
-        (GRID_SLEWS[3], GRID_LOADS[4]),
-    ] {
-        for ratio in [None, Some(GRID_RATIOS[1])] {
-            let Some((_, wave)) = solve_at(&mut scratch, InputShape::Full, s, l, ratio) else {
-                continue;
-            };
-            let as_input = mirror(&wave, v.vdd);
-            for factor in [1.0, 1.3] {
-                let probe = as_input.stretched_around(v.th, factor);
-                for &(lp, rp) in &[(mid_l[1], None), (mid_l[3], Some(mid_r[1]))] {
-                    let _ = check(&mut scratch, &model, &mut rows, &probe, lp, rp);
-                }
-            }
+    for wave in &realistic {
+        let as_input = mirror(wave, v.vdd);
+        for factor in [1.0, 1.3] {
+            let probe = as_input.stretched_around(v.th, factor);
+            let _ = check(&probe, &[(mid_l[1], None), (mid_l[3], Some(mid_r[1]))]);
         }
     }
 
@@ -1062,10 +1088,12 @@ fn process_token(process: &Process) -> u64 {
 ///
 /// Keyed on the process token, cell name, stage index, switching slot,
 /// output direction and exact side values — everything the solve depends
-/// on besides the per-query input waveform and load. Cell names are
-/// assumed to identify one transistor topology per process (true of the
-/// built-in library); [`clear_store`] resets the store if a test rebinds a
-/// name.
+/// on besides the per-query input waveform and load, and more: twin arcs
+/// of different cells (an AND2X1's NAND stage and a NAND2X1) have
+/// different keys but one characterization, which [`characterize_work`]
+/// runs once and stores under both. Cell names are assumed to identify
+/// one transistor topology per process (true of the built-in library);
+/// [`clear_store`] resets the store if a test rebinds a name.
 pub fn arc_key(
     process: &Process,
     cell_name: &str,
@@ -1102,7 +1130,8 @@ fn store() -> &'static Store {
     STORE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Newton solves spent characterizing arcs (sweep + validation probes).
+/// Characterization samples solved (sweep + validation probes), one per
+/// sample whether it integrated alone or forked off a shared trajectory.
 static CHAR_SOLVES: AtomicUsize = AtomicUsize::new(0);
 
 /// Fetches a model from the process-global store. Analyzers call it once
@@ -1156,9 +1185,10 @@ pub fn store_digest() -> u64 {
     h.finish()
 }
 
-/// Lifetime count of characterization Newton solves — zero deltas across
-/// a store-warm analyzer build are the gate that the on-disk
-/// characterization store actually amortized the sweep.
+/// Lifetime count of characterization samples solved, one per sample (a
+/// sample forked off a shared trajectory counts one; at most 980 per arc)
+/// — zero deltas across a store-warm analyzer build are the gate that the
+/// on-disk characterization store actually amortized the sweep.
 pub fn char_solves() -> usize {
     CHAR_SOLVES.load(Ordering::Relaxed)
 }
@@ -1258,29 +1288,67 @@ pub fn prewarm_library(process: &Process, library: &Library, threads: usize) {
     });
 }
 
-/// Characterizes every item of `work` into the process-global store, each
-/// once. `run` receives the sweep's worker body and must call it on every
-/// worker it provides; one inline call is the serial sweep. Workers claim
-/// items in list order, and each characterization is a pure function of
-/// `(process, arc)`, so every worker count builds the same bits.
+/// Characterizes every item of `work` into the process-global store,
+/// once per electrically distinct arc. `run` receives the sweep's worker
+/// body and must call it on every worker it provides; one inline call is
+/// the serial sweep.
+///
+/// Items are grouped by electrical identity: the cell name and stage
+/// index an [`arc_key`] carries do not reach the solver, so an AND2X1's
+/// NAND stage is a NAND2X1's. Workers claim groups in order of their first
+/// item, characterize the group's first item once, and insert that one
+/// model under every item's key. Each characterization is a pure function
+/// of `(process, arc)`, so every worker count and every grouping builds
+/// the same bits under every key.
 pub fn characterize_work(
     process: &Process,
     work: &[PrewarmItem<'_>],
     run: impl FnOnce(&(dyn Fn(usize) + Sync)),
 ) {
+    let mut groups: Vec<Vec<&PrewarmItem<'_>>> = Vec::new();
+    for item in work {
+        match groups.iter_mut().find(|g| same_arc(g[0], item)) {
+            Some(group) => group.push(item),
+            None => groups.push(vec![item]),
+        }
+    }
     let next = AtomicUsize::new(0);
     run(&|_worker| {
-        while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
-            ensure_model(
-                item.key,
+        while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let lead = group[0];
+            let model = ensure_model(
+                lead.key,
                 process,
-                item.stage,
-                item.slot,
-                &item.side,
-                item.out_rising,
+                lead.stage,
+                lead.slot,
+                &lead.side,
+                lead.out_rising,
             );
+            let mut guard = store().write().unwrap_or_else(|e| e.into_inner());
+            for twin in &group[1..] {
+                guard.entry(twin.key).or_insert_with(|| Arc::clone(&model));
+            }
         }
     });
+}
+
+/// Whether two arcs are electrically identical at one process, so their
+/// characterizations are bit-identical: the stage solver reads a stage
+/// only through its pull-up and pull-down networks and its input count,
+/// and an arc through its switching slot, output direction and side
+/// values. Equal networks have equal device widths and lengths (`==`
+/// differs from bit equality only on ±0 and NaN, which no device has).
+fn same_arc(a: &PrewarmItem<'_>, b: &PrewarmItem<'_>) -> bool {
+    a.slot == b.slot
+        && a.out_rising == b.out_rising
+        && a.stage.inputs.len() == b.stage.inputs.len()
+        && a.side.len() == b.side.len()
+        && a.side
+            .iter()
+            .zip(&b.side)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+        && a.stage.pullup == b.stage.pullup
+        && a.stage.pulldown == b.stage.pulldown
 }
 
 #[cfg(test)]

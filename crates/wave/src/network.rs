@@ -69,6 +69,13 @@ impl WarmStart {
         self.cursor = 0;
     }
 
+    /// Makes this store a copy of `other`, keeping this store's
+    /// allocation (a forked stage solve resumes from a copied store).
+    pub(crate) fn copy_from(&mut self, other: &WarmStart) {
+        self.mids.clone_from(&other.mids);
+        self.cursor = other.cursor;
+    }
+
     fn begin(&mut self) {
         self.cursor = 0;
     }

@@ -154,6 +154,12 @@ pub struct StageScratch {
     snaps: Vec<Snap>,
     warm_p: WarmStart,
     warm_n: WarmStart,
+    /// The family members riding the shared trajectory besides its carrier.
+    riders: Vec<Rider>,
+    /// Parked forks; the first `forked` are live, the rest keep their
+    /// allocations for the next family.
+    forks: Vec<Fork>,
+    forked: usize,
 }
 
 impl StageScratch {
@@ -161,6 +167,151 @@ impl StageScratch {
     pub fn new() -> Self {
         StageScratch::default()
     }
+}
+
+/// Integrator state after an accepted step: everything the rest of a
+/// trajectory depends on besides its pending coupling events, its trace
+/// and its warm starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Track {
+    t: f64,
+    v: f64,
+    h: f64,
+    steps: usize,
+    newton_iters: usize,
+    /// The accepted point before `(t, v)`, for the warm-started Newton
+    /// guess; `None` across discontinuities (start, snap restarts).
+    last_accepted: Option<(f64, f64)>,
+    /// Voltage change of the last accepted step, for step growth.
+    dv_step: f64,
+}
+
+/// A family member riding the carrier's trajectory: its load index and
+/// its first trigger voltage (`None` for a quiet member, which rides to
+/// the end).
+#[derive(Debug, Clone, Copy)]
+struct Rider {
+    member: usize,
+    trigger: Option<f64>,
+}
+
+/// A family member that left the shared trajectory at an accepted step:
+/// the integrator state it resumes from.
+#[derive(Debug, Clone, Default)]
+struct Fork {
+    member: usize,
+    track: Track,
+    /// The trace's last two points: a snap interpolates inside their
+    /// segment.
+    tail: [(f64, f64); 2],
+    warm_p: WarmStart,
+    warm_n: WarmStart,
+}
+
+/// Step budget of one trajectory.
+const MAX_STEPS: usize = 200_000;
+/// Smallest timestep the step-size control halves down to, seconds.
+const H_MIN: f64 = 1e-15;
+/// Largest timestep, seconds.
+const H_MAX: f64 = 2e-10;
+
+/// The constants of one stage solve, shared by every member of a family.
+struct Drive<'s> {
+    stage: &'s Stage,
+    switching: usize,
+    input: &'s Waveform,
+    ev_p: NetworkEval<'s>,
+    ev_n: NetworkEval<'s>,
+    vdd: f64,
+    vth: f64,
+    /// Output direction (the complement of the input's).
+    rising: bool,
+    t0: f64,
+    input_end: f64,
+    input_dur: f64,
+}
+
+impl Drive<'_> {
+    /// Whether the node has reached `trigger` in the output direction.
+    fn hits(&self, v: f64, trigger: f64) -> bool {
+        if self.rising {
+            v >= trigger
+        } else {
+            v <= trigger
+        }
+    }
+
+    /// Whether `tr` is settled at the far rail with the input done: the end
+    /// of a trajectory with no coupling event left.
+    fn reached_end(&self, tr: &Track) -> bool {
+        let end = if self.rising {
+            0.995 * self.vdd
+        } else {
+            0.005 * self.vdd
+        };
+        self.hits(tr.v, end) && tr.t >= self.input_end
+    }
+
+    /// The victim's restart voltage after a snap (paper §2).
+    fn reset_v(&self) -> f64 {
+        if self.rising {
+            self.vth
+        } else {
+            self.vdd - self.vth
+        }
+    }
+
+    /// `load`'s active-coupling events `(trigger, dV)`, unordered (§2).
+    fn events<'l>(&self, load: &'l Load, ctot: f64) -> impl Iterator<Item = (f64, f64)> + 'l {
+        let (vdd, vth, rising) = (self.vdd, self.vth, self.rising);
+        load.couplings
+            .iter()
+            .filter(|c| c.mode == CouplingMode::Active)
+            .map(move |c| {
+                let dv = vdd * c.c / ctot;
+                let trig = if rising {
+                    (vth + dv).min(0.98 * vdd)
+                } else {
+                    (vdd - vth - dv).max(0.02 * vdd)
+                };
+                (trig, dv)
+            })
+    }
+
+    /// The trigger `load`'s first snap fires at, or `None` without an
+    /// active coupling.
+    fn first_trigger(&self, load: &Load, ctot: f64) -> Option<f64> {
+        let triggers = self.events(load, ctot).map(|(trig, _)| trig);
+        if self.rising {
+            triggers.min_by(f64::total_cmp)
+        } else {
+            triggers.max_by(f64::total_cmp)
+        }
+    }
+
+    /// Fills `pending` with `load`'s events in firing order.
+    fn schedule(&self, load: &Load, ctot: f64, pending: &mut Vec<(f64, f64)>) {
+        pending.clear();
+        pending.extend(self.events(load, ctot));
+        if self.rising {
+            pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+        } else {
+            pending.sort_by(|a, b| b.0.total_cmp(&a.0));
+        }
+    }
+}
+
+/// Loads whose every capacitance is finite. A NaN capacitance would
+/// otherwise vanish into `total_cap().max(1e-18)` (since `f64::max`
+/// ignores NaN) and yield a silently *optimistic* delay.
+fn finite_caps(load: &Load) -> bool {
+    load.cground.is_finite() && load.couplings.iter().all(|c| c.c.is_finite())
+}
+
+/// The capacitance the integrator charges: a family shares one trajectory
+/// only while this is bit-equal.
+fn integrated_cap(load: &Load) -> f64 {
+    load.total_cap().max(1e-18)
 }
 
 impl StageResult {
@@ -286,14 +437,14 @@ impl<'a> StageSolver<'a> {
         load: Load,
     ) -> Result<StageResult, StageError> {
         let mut scratch = StageScratch::new();
-        let (wave, steps, newton_iters) =
-            self.run(&mut scratch, stage, switching, input, side, &load)?;
+        let solved = self.solve_with(&mut scratch, stage, switching, input, side, &load)?;
+        // A family of one never forks, so the trace is the whole trajectory.
         Ok(StageResult {
-            wave,
+            wave: solved.wave,
             snaps: std::mem::take(&mut scratch.snaps),
             raw: std::mem::take(&mut scratch.points),
-            steps,
-            newton_iters,
+            steps: solved.steps,
+            newton_iters: solved.newton_iters,
         })
     }
 
@@ -302,6 +453,7 @@ impl<'a> StageSolver<'a> {
     /// materialising the raw trace and snap list, returning the lean
     /// [`SolvedWave`]. Results are bit-identical to [`StageSolver::solve`]
     /// for the same inputs regardless of what the scratch previously held.
+    /// It is [`StageSolver::solve_family`] of one load.
     ///
     /// # Errors
     ///
@@ -315,28 +467,171 @@ impl<'a> StageSolver<'a> {
         side: &[f64],
         load: &Load,
     ) -> Result<SolvedWave, StageError> {
-        let (wave, steps, newton_iters) = self.run(scratch, stage, switching, input, side, load)?;
-        Ok(SolvedWave {
-            wave,
-            steps,
-            newton_iters,
-        })
+        // A family answers each of its loads exactly once.
+        let mut solved = Err(StageError::DidNotConverge);
+        self.solve_family(
+            scratch,
+            stage,
+            switching,
+            input,
+            side,
+            std::slice::from_ref(load),
+            |_, r| solved = r,
+        );
+        solved
     }
 
-    /// The shared integrator behind [`StageSolver::solve`] and
-    /// [`StageSolver::solve_with`]. Returns `(wave, steps, newton_iters)`;
-    /// the raw trace and fired snaps are left in `scratch`.
-    fn run(
+    /// Solves one input against several loads, calling `each(i, result)`
+    /// exactly once per `loads[i]`, in no particular order. Every result is
+    /// bit-identical to [`StageSolver::solve_with`] of that load alone —
+    /// waveform, `steps`, `newton_iters` and errors.
+    ///
+    /// Loads whose `total_cap()` is bit-equal share one integration. In the
+    /// paper's three-phase model (§2) an active coupling loads the victim
+    /// exactly like a grounded cap until its trigger `Vth + Vdd·Cc/Ctot`,
+    /// so such loads follow one trajectory until a first trigger is hit.
+    /// The shared trajectory is integrated once and carries a quiet load
+    /// when the family has one (it rides to the end), else the active load
+    /// whose first trigger is hit last. Every other active load forks off at
+    /// the accepted step where its own first trigger is hit — keeping the
+    /// trajectory's time, voltage, step size, counters, last two trace
+    /// points and warm starts — and integrates the rest on its own.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve_family(
         &self,
         scratch: &mut StageScratch,
         stage: &Stage,
         switching: usize,
         input: &Waveform,
         side: &[f64],
-        load: &Load,
-    ) -> Result<(Waveform, usize, usize), StageError> {
-        // Disjoint borrows of every buffer; each is fully reset below, so a
-        // reused scratch is indistinguishable from a fresh one.
+        loads: &[Load],
+        mut each: impl FnMut(usize, Result<SolvedWave, StageError>),
+    ) {
+        if let Err(e) = hold_side_inputs(&mut scratch.gates, stage, switching, side) {
+            for member in 0..loads.len() {
+                each(member, Err(e.clone()));
+            }
+            return;
+        }
+        let t0 = input.start_time();
+        let input_end = input.end_time();
+        let d = Drive {
+            stage,
+            switching,
+            input,
+            ev_p: NetworkEval::new(self.process, DeviceType::Pmos),
+            ev_n: NetworkEval::new(self.process, DeviceType::Nmos),
+            vdd: self.process.vdd,
+            vth: self.process.coupling_vth,
+            rising: !input.is_rising(),
+            t0,
+            input_end,
+            input_dur: (input_end - t0).max(1e-14),
+        };
+        for (i, load) in loads.iter().enumerate() {
+            if !finite_caps(load) {
+                each(i, Err(StageError::NonFiniteInput));
+                continue;
+            }
+            let ctot = integrated_cap(load);
+            let joins = |l: &Load| finite_caps(l) && integrated_cap(l).to_bits() == ctot.to_bits();
+            // A load sharing an earlier load's cap rode that family.
+            if loads[..i].iter().any(joins) {
+                continue;
+            }
+            let family = || (i..loads.len()).filter(|&m| joins(&loads[m]));
+            let trigger = |m: usize| d.first_trigger(&loads[m], ctot);
+            // The carrier forks last: a quiet member, else the latest first
+            // trigger (ties fork at the same step).
+            let last_hit = |a: &usize, b: &usize| match (trigger(*a), trigger(*b)) {
+                (Some(x), Some(y)) if d.rising => x.total_cmp(&y),
+                (Some(x), Some(y)) => y.total_cmp(&x),
+                (x, y) => x.is_none().cmp(&y.is_none()),
+            };
+            let carrier = family().max_by(last_hit).unwrap_or(i);
+            scratch.riders.clear();
+            scratch
+                .riders
+                .extend(family().filter(|&m| m != carrier).map(|member| Rider {
+                    member,
+                    trigger: trigger(member),
+                }));
+            self.solve_carrier(scratch, &d, ctot, loads, carrier, &mut each);
+        }
+    }
+
+    /// Integrates a family's shared trajectory for its `carrier`, answers
+    /// the carrier and the riders that never left it, then resumes and
+    /// answers every fork.
+    fn solve_carrier(
+        &self,
+        scratch: &mut StageScratch,
+        d: &Drive,
+        ctot: f64,
+        loads: &[Load],
+        carrier: usize,
+        each: &mut impl FnMut(usize, Result<SolvedWave, StageError>),
+    ) {
+        d.schedule(&loads[carrier], ctot, &mut scratch.pending);
+        scratch.warm_p.reset();
+        scratch.warm_n.reset();
+        scratch.snaps.clear();
+        scratch.points.clear();
+        scratch.forked = 0;
+        let v0 = if d.rising { 0.0 } else { d.vdd };
+        scratch.points.push((d.t0, v0));
+        let mut tr = Track {
+            t: d.t0,
+            v: v0,
+            h: (d.input_dur / 24.0).clamp(1e-13, H_MAX),
+            ..Track::default()
+        };
+        let shared = self.integrate(d, ctot, scratch, &mut tr, false);
+        let solved = shared.and_then(|()| self.finish(d, scratch, &tr));
+        // Riders still aboard are quiet twins of a quiet carrier, or met the
+        // carrier's failure before their first trigger.
+        for rider in &scratch.riders {
+            each(rider.member, solved.clone());
+        }
+        scratch.riders.clear();
+        each(carrier, solved);
+        for k in 0..scratch.forked {
+            let StageScratch {
+                points,
+                warm_p,
+                warm_n,
+                snaps,
+                pending,
+                forks,
+                ..
+            } = &mut *scratch;
+            let fork = &forks[k];
+            points.clear();
+            points.extend_from_slice(&fork.tail);
+            warm_p.copy_from(&fork.warm_p);
+            warm_n.copy_from(&fork.warm_n);
+            snaps.clear();
+            let (member, mut tr) = (fork.member, fork.track);
+            d.schedule(&loads[member], ctot, pending);
+            let solved = self
+                .integrate(d, ctot, scratch, &mut tr, true)
+                .and_then(|()| self.finish(d, scratch, &tr));
+            each(member, solved);
+        }
+    }
+
+    /// Integrates `tr` until its trajectory is done. A `resumed` fork first
+    /// settles the step it forked at. Riders leave at the accepted step
+    /// where their first trigger is hit, or where the shared trajectory
+    /// ends, and are parked in the scratch's forks.
+    fn integrate(
+        &self,
+        d: &Drive,
+        ctot: f64,
+        scratch: &mut StageScratch,
+        tr: &mut Track,
+        resumed: bool,
+    ) -> Result<(), StageError> {
         let StageScratch {
             gates,
             pending,
@@ -344,107 +639,79 @@ impl<'a> StageSolver<'a> {
             snaps,
             warm_p,
             warm_n,
+            riders,
+            forks,
+            forked,
         } = scratch;
-
-        let n_slots = stage.inputs.len();
-        if switching >= n_slots {
-            return Err(StageError::BadSlot { slot: switching });
+        if resumed && settle(d, tr, pending, points, snaps) {
+            return Ok(());
         }
-        gates.clear();
-        gates.resize(n_slots, 0.0);
-        for (slot, gate) in gates.iter_mut().enumerate() {
-            if slot == switching {
-                continue;
-            }
-            *gate = *side
-                .get(slot)
-                .ok_or(StageError::MissingSideValue { slot })?;
-        }
-
-        if !load.cground.is_finite()
-            || load.couplings.iter().any(|c| !c.c.is_finite())
-            || gates.iter().any(|g| !g.is_finite())
-        {
-            return Err(StageError::NonFiniteInput);
-        }
-
-        let vdd = self.process.vdd;
-        let vth = self.process.coupling_vth;
-        let rising = !input.is_rising();
-        let ctot = load.total_cap().max(1e-18);
-
-        // Active couplings: trigger voltages and divider steps (§2).
-        pending.clear();
-        pending.extend(
-            load.couplings
-                .iter()
-                .filter(|c| c.mode == CouplingMode::Active)
-                .map(|c| {
-                    let dv = vdd * c.c / ctot;
-                    let trig = if rising {
-                        (vth + dv).min(0.98 * vdd)
-                    } else {
-                        (vdd - vth - dv).max(0.02 * vdd)
-                    };
-                    (trig, dv)
-                }),
-        );
-        if rising {
-            pending.sort_by(|a, b| a.0.total_cmp(&b.0));
-        } else {
-            pending.sort_by(|a, b| b.0.total_cmp(&a.0));
-        }
-        let reset_v = if rising { vth } else { vdd - vth };
-
-        let ev_p = NetworkEval::new(self.process, DeviceType::Pmos);
-        let ev_n = NetworkEval::new(self.process, DeviceType::Nmos);
-        warm_p.reset();
-        warm_n.reset();
-
-        let t0 = input.start_time();
-        let input_end = input.end_time();
-        let input_dur = (input_end - t0).max(1e-14);
-        let mut t = t0;
-        let mut v = if rising { 0.0 } else { vdd };
-        points.clear();
-        points.push((t, v));
-        snaps.clear();
-        // Previous *accepted* trajectory point, for the warm-started Newton
-        // initial guess. None across discontinuities (start, snap restarts).
-        let mut last_accepted: Option<(f64, f64)> = None;
-
-        let h_min = 1e-15;
-        let h_max = 2e-10;
-        let mut h = (input_dur / 24.0).clamp(1e-13, h_max);
-        let end_hi = 0.995 * vdd;
-        let end_lo = 0.005 * vdd;
-
-        let max_steps = 200_000usize;
-        let mut steps = 0usize;
-        let mut newton_iters = 0usize;
         loop {
-            steps += 1;
-            if steps > max_steps {
+            self.advance(d, ctot, gates, tr, warm_p, warm_n, points)?;
+            if riders.iter().any(|r| r.trigger.is_some()) {
+                let ending = pending.is_empty() && d.reached_end(tr);
+                riders.retain(|r| {
+                    let leaves = r.trigger.is_some_and(|trig| ending || d.hits(tr.v, trig));
+                    if leaves {
+                        if *forked == forks.len() {
+                            forks.push(Fork::default());
+                        }
+                        let fork = &mut forks[*forked];
+                        *forked += 1;
+                        fork.member = r.member;
+                        fork.track = *tr;
+                        fork.tail = [points[points.len() - 2], points[points.len() - 1]];
+                        fork.warm_p.copy_from(warm_p);
+                        fork.warm_n.copy_from(warm_n);
+                    }
+                    !leaves
+                });
+            }
+            if settle(d, tr, pending, points, snaps) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Takes one accepted backward-Euler step, redoing overly large ones
+    /// at half the step, and appends it to the trace.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn advance(
+        &self,
+        d: &Drive,
+        ctot: f64,
+        gates: &mut [f64],
+        tr: &mut Track,
+        warm_p: &mut WarmStart,
+        warm_n: &mut WarmStart,
+        points: &mut Vec<(f64, f64)>,
+    ) -> Result<(), StageError> {
+        let vdd = d.vdd;
+        loop {
+            tr.steps += 1;
+            if tr.steps > MAX_STEPS {
                 return Err(StageError::DidNotConverge);
             }
             // Keep resolution while the input is still moving.
-            let h_eff = if t < input_end {
-                h.min(input_dur / 10.0)
+            let h_eff = if tr.t < d.input_end {
+                tr.h.min(d.input_dur / 10.0)
             } else {
-                h
+                tr.h
             };
-            let t1 = t + h_eff;
-            let vin = input.value_at(t1).clamp(0.0, vdd);
-            gates[switching] = vin;
+            let t1 = tr.t + h_eff;
+            let vin = d.input.value_at(t1).clamp(0.0, vdd);
+            gates[d.switching] = vin;
 
             // Backward Euler: ctot*(v1 - v)/h = i_net(t1, v1), Newton on v1.
             // Warm start: extrapolate the last two accepted points to t1 —
             // on the smooth segments between snaps the trajectory is locally
             // linear, so the seed lands within one Newton step of the root.
+            let v = tr.v;
             let mut v1 = v;
             if self.warm_newton {
-                if let Some((tp, vp)) = last_accepted {
-                    let dt = t - tp;
+                if let Some((tp, vp)) = tr.last_accepted {
+                    let dt = tr.t - tp;
                     if dt > 0.0 {
                         let guess = v + (v - vp) / dt * h_eff;
                         if guess.is_finite() {
@@ -454,9 +721,9 @@ impl<'a> StageSolver<'a> {
                 }
             }
             for _ in 0..14 {
-                newton_iters += 1;
-                let pu = ev_p.current(&stage.pullup, v1, vdd, gates, &mut *warm_p);
-                let pd = ev_n.current(&stage.pulldown, v1, 0.0, gates, &mut *warm_n);
+                tr.newton_iters += 1;
+                let pu = d.ev_p.current(&d.stage.pullup, v1, vdd, gates, warm_p);
+                let pd = d.ev_n.current(&d.stage.pulldown, v1, 0.0, gates, warm_n);
                 let i_net = -(pu.i + pd.i); // current *into* the output node
                 let di_dv = -(pu.di_da + pd.di_da);
                 let g = ctot * (v1 - v) / h_eff - i_net;
@@ -485,62 +752,29 @@ impl<'a> StageSolver<'a> {
 
             // Step-size control: redo overly large steps.
             let dv_step = (v1 - v).abs();
-            if dv_step > vdd / 12.0 && h_eff > 2.0 * h_min {
-                h = (h_eff * 0.5).max(h_min);
+            if dv_step > vdd / 12.0 && h_eff > 2.0 * H_MIN {
+                tr.h = (h_eff * 0.5).max(H_MIN);
                 continue;
             }
-            last_accepted = Some((t, v));
-            t = t1;
-            v = v1;
-            points.push((t, v));
-
-            // Coupling events (§2): snap back to Vth when the trigger is hit.
-            while let Some(&(trig, dv)) = pending.first() {
-                let hit = if rising { v >= trig } else { v <= trig };
-                if !hit {
-                    break;
-                }
-                // Interpolate the exact crossing inside the last segment.
-                let (tp, vp) = points[points.len() - 2];
-                let frac = if (v - vp).abs() > 1e-15 {
-                    ((trig - vp) / (v - vp)).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                let t_cross = tp + (t - tp) * frac;
-                points.pop();
-                // Guard against zero-width segments.
-                let t_cross = t_cross.max(tp + 1e-16);
-                points.push((t_cross, trig));
-                let t_after = t_cross + 1e-15;
-                points.push((t_after, reset_v));
-                snaps.push(Snap {
-                    time: t_cross,
-                    delta_v: dv,
-                });
-                pending.remove(0);
-                t = t_after;
-                v = reset_v;
-                // The snap is a discontinuity — extrapolating across it
-                // would seed Newton far from the restarted trajectory.
-                last_accepted = None;
-            }
-
-            // Grow the step when the node barely moves.
-            if dv_step < vdd / 150.0 {
-                h = (h * 1.6).min(h_max);
-            }
-
-            let done = pending.is_empty()
-                && if rising { v >= end_hi } else { v <= end_lo }
-                && t >= input_end;
-            if done {
-                break;
-            }
+            tr.last_accepted = Some((tr.t, v));
+            tr.t = t1;
+            tr.v = v1;
+            tr.dv_step = dv_step;
+            points.push((t1, v1));
+            return Ok(());
         }
+    }
 
-        // Propagated waveform: everything before the last snap is discarded
-        // and the waveform restarts at Vth (paper §2).
+    /// The propagated waveform of a finished trajectory: everything before
+    /// the last snap is discarded and the waveform restarts at `Vth`
+    /// (paper §2).
+    fn finish(
+        &self,
+        d: &Drive,
+        scratch: &StageScratch,
+        tr: &Track,
+    ) -> Result<SolvedWave, StageError> {
+        let (points, snaps) = (&scratch.points, &scratch.snaps);
         let start_idx = if let Some(last) = snaps.last() {
             points
                 .iter()
@@ -551,7 +785,7 @@ impl<'a> StageSolver<'a> {
         };
         let mut final_pts: Vec<(f64, f64)> = points[start_idx..].to_vec();
         // Monotone clamp against sub-microvolt Newton noise near the rails.
-        if rising {
+        if d.rising {
             let mut run = f64::NEG_INFINITY;
             for p in &mut final_pts {
                 run = run.max(p.1);
@@ -566,11 +800,92 @@ impl<'a> StageSolver<'a> {
         }
         if final_pts.len() < 2 {
             let last = *points.last().expect("at least one point");
-            final_pts = vec![(last.0 - 1e-15, reset_v), last];
+            final_pts = vec![(last.0 - 1e-15, d.reset_v()), last];
         }
-        let wave = Waveform::new(final_pts)?.simplify(2e-3);
-        Ok((wave, steps, newton_iters))
+        Ok(SolvedWave {
+            wave: Waveform::new(final_pts)?.simplify(2e-3),
+            steps: tr.steps,
+            newton_iters: tr.newton_iters,
+        })
     }
+}
+
+/// Sets the non-switching gates to their side values, rejecting a bad
+/// slot, a missing side value or a non-finite one.
+fn hold_side_inputs(
+    gates: &mut Vec<f64>,
+    stage: &Stage,
+    switching: usize,
+    side: &[f64],
+) -> Result<(), StageError> {
+    let n_slots = stage.inputs.len();
+    if switching >= n_slots {
+        return Err(StageError::BadSlot { slot: switching });
+    }
+    gates.clear();
+    gates.resize(n_slots, 0.0);
+    for (slot, gate) in gates.iter_mut().enumerate() {
+        if slot == switching {
+            continue;
+        }
+        *gate = *side
+            .get(slot)
+            .ok_or(StageError::MissingSideValue { slot })?;
+    }
+    if gates.iter().any(|g| !g.is_finite()) {
+        return Err(StageError::NonFiniteInput);
+    }
+    Ok(())
+}
+
+/// Fires the coupling events `tr`'s accepted step reached (§2: snap back
+/// to `Vth` when a trigger is hit), grows the step when the node barely
+/// moved, and reports whether the trajectory is done.
+#[inline(always)]
+fn settle(
+    d: &Drive,
+    tr: &mut Track,
+    pending: &mut Vec<(f64, f64)>,
+    points: &mut Vec<(f64, f64)>,
+    snaps: &mut Vec<Snap>,
+) -> bool {
+    while let Some(&(trig, dv)) = pending.first() {
+        if !d.hits(tr.v, trig) {
+            break;
+        }
+        // Interpolate the exact crossing inside the last segment.
+        let (t, v) = (tr.t, tr.v);
+        let (tp, vp) = points[points.len() - 2];
+        let frac = if (v - vp).abs() > 1e-15 {
+            ((trig - vp) / (v - vp)).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let t_cross = tp + (t - tp) * frac;
+        points.pop();
+        // Guard against zero-width segments.
+        let t_cross = t_cross.max(tp + 1e-16);
+        points.push((t_cross, trig));
+        let t_after = t_cross + 1e-15;
+        let reset_v = d.reset_v();
+        points.push((t_after, reset_v));
+        snaps.push(Snap {
+            time: t_cross,
+            delta_v: dv,
+        });
+        pending.remove(0);
+        tr.t = t_after;
+        tr.v = reset_v;
+        // The snap is a discontinuity — extrapolating across it would
+        // seed Newton far from the restarted trajectory.
+        tr.last_accepted = None;
+    }
+
+    // Grow the step when the node barely moves.
+    if tr.dv_step < d.vdd / 150.0 {
+        tr.h = (tr.h * 1.6).min(H_MAX);
+    }
+    pending.is_empty() && d.reached_end(tr)
 }
 
 #[cfg(test)]
@@ -1026,5 +1341,139 @@ mod tests {
             (dw - dc).abs() < 0.02 * dc,
             "warm delay {dw} vs cold delay {dc}"
         );
+    }
+
+    /// Bitwise equality of two solve outcomes: waveform bits, steps and
+    /// Newton iterations, or equal errors.
+    fn assert_same_solve(
+        got: &Result<SolvedWave, StageError>,
+        want: &Result<SolvedWave, StageError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                let bits = |s: &SolvedWave| -> Vec<(u64, u64)> {
+                    s.wave
+                        .points()
+                        .iter()
+                        .map(|&(t, v)| (t.to_bits(), v.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(g), bits(w), "{what}: waveform bits");
+                assert_eq!(g.steps, w.steps, "{what}: steps");
+                assert_eq!(g.newton_iters, w.newton_iters, "{what}: Newton iterations");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: error"),
+            _ => panic!("{what}: family {got:?} vs alone {want:?}"),
+        }
+    }
+
+    /// A family solve answers every load exactly as a solve of that load
+    /// alone. The families are the macromodel grid's — at every grid slew
+    /// and load, for both input shapes, the quiet load plus one active load
+    /// per grid ratio — joined by a member with two active couplings, one
+    /// with a doubled coupling and one with a NaN cap. Seven of the forty
+    /// load/ratio pairs miss the quiet load's total cap by an ulp and so
+    /// integrate alone.
+    #[test]
+    fn family_solve_matches_each_load_solved_alone() {
+        use crate::macromodel::{GRID_LOADS, GRID_RATIOS, GRID_SLEWS};
+        let (p, l) = setup();
+        let solver = StageSolver::new(&p);
+        let (slo, shi) = p.slew_thresholds();
+        let mut alone = StageScratch::new();
+        let mut shared = StageScratch::new();
+        let mismatched = GRID_LOADS
+            .iter()
+            .flat_map(|&c| GRID_RATIOS.iter().map(move |&r| (c, r)))
+            .filter(|&(c, r)| (c * (1.0 - r) + c * r).to_bits() != c.to_bits())
+            .count();
+        assert_eq!(mismatched, 7, "load/ratio pairs off the quiet cap");
+        for (cell, slot, out_rising) in [
+            ("INVX1", 0, true),
+            ("NAND2X1", 1, false),
+            ("NAND4X1", 3, true),
+        ] {
+            let stage = &l.cell(cell).expect("cell").stages[0];
+            let side = crate::sensitize::side_values(stage, slot, out_rising, p.vdd).expect("side");
+            // Full swing, and the snapped swing restarting at the coupling
+            // threshold.
+            for snapped in [false, true] {
+                let swing = if snapped {
+                    p.vdd - p.coupling_vth
+                } else {
+                    p.vdd
+                };
+                let (from, to) = if out_rising {
+                    (swing, 0.0)
+                } else {
+                    (p.vdd - swing, p.vdd)
+                };
+                for slew in GRID_SLEWS {
+                    let dur = slew * swing / (shi - slo);
+                    let input =
+                        Waveform::ramp(4.0 * slew + 1e-9 - 0.5 * dur, dur, from, to).expect("ramp");
+                    for c in GRID_LOADS {
+                        let mut loads = vec![Load::grounded(c)];
+                        loads.extend(GRID_RATIOS.iter().map(|&r| Load {
+                            cground: c * (1.0 - r),
+                            couplings: vec![Coupling::new(c * r, CouplingMode::Active)],
+                        }));
+                        loads.push(Load {
+                            cground: 0.5 * c,
+                            couplings: vec![
+                                Coupling::new(0.2 * c, CouplingMode::Active),
+                                Coupling::new(0.3 * c, CouplingMode::Active),
+                            ],
+                        });
+                        loads.push(Load {
+                            cground: 0.6 * c,
+                            couplings: vec![Coupling::new(0.2 * c, CouplingMode::Doubled)],
+                        });
+                        loads.push(Load::grounded(f64::NAN));
+                        let mut got = vec![None; loads.len()];
+                        solver.solve_family(
+                            &mut shared,
+                            stage,
+                            slot,
+                            &input,
+                            &side,
+                            &loads,
+                            |m, r| {
+                                assert!(got[m].is_none(), "load {m} answered twice");
+                                got[m] = Some(r);
+                            },
+                        );
+                        for (m, load) in loads.iter().enumerate() {
+                            let want =
+                                solver.solve_with(&mut alone, stage, slot, &input, &side, load);
+                            let what =
+                                format!("{cell} snapped={snapped} slew={slew} load={c} member {m}");
+                            let got = got[m]
+                                .as_ref()
+                                .unwrap_or_else(|| panic!("{what}: unanswered"));
+                            assert_same_solve(got, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+        // A failure every member shares reaches every member.
+        let inv = l.cell("INVX1").expect("inv");
+        let loads = [Load::grounded(10e-15), Load::grounded(20e-15)];
+        let mut answered = 0;
+        solver.solve_family(
+            &mut shared,
+            &inv.stages[0],
+            2,
+            &rising_input(&p),
+            &[],
+            &loads,
+            |_, r| {
+                assert_eq!(r, Err(StageError::BadSlot { slot: 2 }));
+                answered += 1;
+            },
+        );
+        assert_eq!(answered, loads.len());
     }
 }

@@ -988,6 +988,9 @@ fn client_severity(resp: &xtalk_sta::serve::Json) -> Option<Severity> {
     }
 }
 
+/// How long `xtalk client` keeps dialing a socket no daemon has bound yet.
+const CLIENT_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
 fn cmd_client(args: &[String]) -> Result<(String, i32), CliError> {
     use xtalk_sta::serve::{Client, Json};
     let (pos, flags) = split_flags(
@@ -1015,7 +1018,9 @@ fn cmd_client(args: &[String]) -> Result<(String, i32), CliError> {
         }
         None => None,
     };
-    let mut client = Client::connect(std::path::Path::new(socket))
+    // A script may start `xtalk serve &` and call the client at once: keep
+    // dialing while the daemon binds its socket.
+    let mut client = Client::connect_retry(std::path::Path::new(socket), CLIENT_DIAL_TIMEOUT)
         .map_err(|e| err(format!("client: cannot reach daemon at {socket}: {e}")))?;
     if let Some(v) = flag(&flags, "deadline") {
         let ms: u64 = v
@@ -1362,6 +1367,41 @@ mod tests {
             Some(Some(40))
         );
         assert_eq!(request_timeout_ms(None, None).ok(), Some(None));
+    }
+
+    /// A client started before its daemon binds the socket keeps dialing
+    /// and gets its answer once the daemon is up.
+    #[test]
+    fn client_started_before_the_daemon_binds_waits_for_it() {
+        let socket = tmp("late_daemon.sock");
+        let _ = std::fs::remove_file(&socket);
+        let client = {
+            let socket = socket.clone();
+            std::thread::spawn(move || run(&argv(&["client", "--socket", &socket, "stats"])))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(400));
+        assert!(
+            !std::path::Path::new(&socket).exists(),
+            "the daemon bound before the client dialed; the test is vacuous"
+        );
+        let daemon = {
+            let socket = socket.clone();
+            std::thread::spawn(move || {
+                run(&argv(&["serve", "--socket", &socket, "--threads", "1"]))
+            })
+        };
+        let stats = client.join().expect("client thread");
+        // Stop the daemon whatever the client saw, so a failure cannot hang
+        // the test on the daemon thread.
+        xtalk_sta::serve::Client::connect_retry(
+            std::path::Path::new(&socket),
+            std::time::Duration::from_secs(5),
+        )
+        .and_then(|mut c| c.shutdown())
+        .expect("shutdown");
+        daemon.join().expect("daemon thread").expect("serve");
+        let stats = stats.expect("the client waited for the daemon");
+        assert!(stats.contains("requests"), "stats: {stats}");
     }
 
     #[test]

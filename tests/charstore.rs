@@ -11,11 +11,11 @@
 //! the in-memory store at each boundary.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use xtalk::prelude::*;
 use xtalk::sta::{CharStore, Edit, IncrementalSta};
-use xtalk::wave::macromodel::{char_solves, clear_store, prewarm_library, stats};
+use xtalk::wave::macromodel::{char_solves, clear_store, prewarm_library, stats, ArcModel};
 
 /// Max-delay analyses where the fast path may engage (mirrors
 /// `tests/macromodel.rs`).
@@ -26,6 +26,10 @@ const MAX_MODES: [AnalysisMode; 5] = [
     AnalysisMode::OneStep,
     AnalysisMode::Iterative { esperance: false },
 ];
+
+/// Characterization samples of one arc: 768 grid solves, 196 grid-cell
+/// midpoint probes and 16 realistic-shape probes.
+const SAMPLES_PER_ARC: usize = 980;
 
 /// Serializes the tests: they all mutate the process-global model store.
 fn store_lock() -> MutexGuard<'static, ()> {
@@ -140,11 +144,23 @@ fn design_driven_matches_library_wide_bit_for_bit_serial_and_threaded() {
     let (threaded, threaded_paid, _) = run_all(&d, ExecConfig::serial().with_threads(4));
     // Reference arm: every library arc characterized before the build.
     clear_store();
+    let before = char_solves();
     prewarm_library(&d.process, &d.library, 4);
+    let library_paid_prewarm = char_solves() - before;
     let library_arcs = stats().models;
     let (library_wide, library_paid, _) = run_all(&d, ExecConfig::serial());
 
     assert!(serial_paid > 0, "the cold build characterized nothing");
+    // The library's 148 keyed arcs are 62 electrically distinct ones, each
+    // characterized once at 980 samples — less ten realistic-shape probes
+    // of INVX4 and INVX8, whose mirrored outputs are faster than the slew
+    // grid and are never solved.
+    assert_eq!(library_arcs, 148, "library-wide models");
+    assert_eq!(
+        library_paid_prewarm,
+        62 * SAMPLES_PER_ARC - 10,
+        "the library-wide sweep characterized a twin arc again"
+    );
     assert_eq!(
         serial_paid, threaded_paid,
         "two cold builds paid different characterization solves"
@@ -174,6 +190,109 @@ fn design_driven_matches_library_wide_bit_for_bit_serial_and_threaded() {
     assert!(
         any_hits > 0,
         "tables never engaged; the identity assertions are vacuous"
+    );
+}
+
+/// Electrically identical arcs are characterized once. The AND, OR, XOR
+/// and XNOR cells are built from NAND2X1, NOR2X1 and INVX1 stages, so a
+/// cold design-driven build pays 980 samples per distinct arc, not per
+/// keyed arc, and every twin binds the very model of the arc it twins.
+/// Each key still gets its own store record.
+#[test]
+fn twin_arcs_are_characterized_once_and_share_one_model() {
+    let _guard = store_lock();
+    let process = Process::c05um();
+    let library = Library::c05um(&process);
+    let netlist = xtalk::netlist::bench::parse(
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+         n1 = NAND(a, b)\nn2 = NOR(b, c)\nn3 = NOT(c)\n\
+         n4 = AND(n1, n2)\nn5 = OR(n2, n3)\nn6 = XOR(n4, n5)\n\
+         y = XNOR(n6, a)\nz = NOT(n6)\n",
+        &library,
+    )
+    .expect("parse");
+    let d = placed(netlist, library, process);
+    let store = tmp_store("twins");
+    let _ = std::fs::remove_file(&store);
+
+    clear_store();
+    let before = char_solves();
+    let sta = Sta::with_config(
+        &d.netlist,
+        &d.library,
+        &d.process,
+        &d.parasitics,
+        ExecConfig::serial().with_char_store(Some(store.clone())),
+    )
+    .expect("sta");
+    let paid = char_solves() - before;
+
+    let mut keyed = 0usize;
+    let mut distinct: Vec<Arc<ArcModel>> = Vec::new();
+    for arc in sta
+        .graph()
+        .cell_stages()
+        .flat_map(|cs| cs.arcs.iter().flatten())
+    {
+        if arc.key.is_none() {
+            continue;
+        }
+        keyed += 1;
+        let model = arc.model.as_ref().expect("every arc binds a usable model");
+        if !distinct.iter().any(|m| Arc::ptr_eq(m, model)) {
+            distinct.push(Arc::clone(model));
+        }
+    }
+    assert!(
+        distinct.len() < keyed,
+        "no twin arcs ({keyed} keyed); the test is vacuous"
+    );
+    assert_eq!(
+        paid,
+        distinct.len() * SAMPLES_PER_ARC,
+        "a cold build paid other than one characterization per distinct arc"
+    );
+
+    let model = |cell: &str, stage: usize, slot: usize, rising: bool| -> Arc<ArcModel> {
+        let cs = sta
+            .graph()
+            .cell_stages()
+            .find(|cs| cs.cell == cell && cs.stage == stage)
+            .unwrap_or_else(|| panic!("{cell} stage {stage} is not in the design"));
+        Arc::clone(
+            cs.arcs[slot][rising as usize]
+                .model
+                .as_ref()
+                .expect("bound"),
+        )
+    };
+    for rising in [false, true] {
+        for slot in 0..2 {
+            let nand = model("NAND2X1", 0, slot, rising);
+            for (cell, stage) in [("AND2X1", 0), ("XOR2X1", 0), ("XNOR2X1", 3)] {
+                assert!(
+                    Arc::ptr_eq(&nand, &model(cell, stage, slot, rising)),
+                    "{cell} stage {stage} slot {slot} does not share NAND2X1's model"
+                );
+            }
+            assert!(Arc::ptr_eq(
+                &model("NOR2X1", 0, slot, rising),
+                &model("OR2X1", 0, slot, rising)
+            ));
+        }
+        let inv = model("INVX1", 0, 0, rising);
+        for (cell, stage) in [("AND2X1", 1), ("OR2X1", 1), ("XNOR2X1", 4)] {
+            assert!(
+                Arc::ptr_eq(&inv, &model(cell, stage, 0, rising)),
+                "{cell} stage {stage} does not share INVX1's model"
+            );
+        }
+    }
+    let replayed = CharStore::open(&store).expect("open").load().expect("load");
+    let _ = std::fs::remove_file(&store);
+    assert_eq!(
+        replayed.models as usize, keyed,
+        "every key gets its own store record"
     );
 }
 

@@ -290,6 +290,49 @@ fn sessions_share_one_cache_and_the_store_is_read_once() {
     daemon.join().expect("daemon 2");
 }
 
+/// One connection's write-behind append is never missing from another
+/// connection's `stats`: `stats` waits for an append in progress and
+/// flushes what is still pending before it reads the store counters, so
+/// it counts every record a restart replays.
+#[test]
+fn stats_on_another_connection_counts_every_appended_record() {
+    let bench = make_bench("flush.bench", 31);
+    let store = tmp("flush.store");
+    let _ = std::fs::remove_file(&store);
+    let socket = tmp("flush.sock");
+    let path = bench.to_string_lossy().into_owned();
+    let store_counter = |stats: &Json, key: &str| {
+        ok(stats)
+            .get("store")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .expect("store counter")
+    };
+
+    let daemon = start_daemon(&socket, Some(&store));
+    let mut solver = connect(&socket);
+    let mut watcher = connect(&socket);
+    ok(&solver.load("d", &path, None).expect("load"));
+    ok(&solver.analyze("d", Some("onestep")).expect("analyze"));
+    let appended = store_counter(&watcher.stats().expect("stats"), "appended");
+    assert!(
+        appended > 0,
+        "the analysis appended nothing; the test is vacuous"
+    );
+    ok(&solver.shutdown().expect("shutdown"));
+    daemon.join().expect("daemon 1");
+
+    let daemon = start_daemon(&socket, Some(&store));
+    let mut client = connect(&socket);
+    let replayed = store_counter(&client.stats().expect("stats"), "replayed");
+    assert_eq!(
+        appended, replayed,
+        "stats on the second connection missed records the first appended"
+    );
+    ok(&client.shutdown().expect("shutdown"));
+    daemon.join().expect("daemon 2");
+}
+
 #[test]
 fn corrupt_store_entries_are_skipped_never_served() {
     let bench = make_bench("corrupt.bench", 23);
