@@ -56,7 +56,7 @@ fn bench_esperance(c: &mut Criterion) {
     cfg.flip_flops = 32;
     cfg.depth = 10;
     let d = build_design(&cfg);
-    let sta = Sta::new(&d.netlist, &d.library, &d.process, &d.parasitics).expect("sta");
+    let sta = d.sta();
 
     let mut group = c.benchmark_group("esperance");
     group.sample_size(10);

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use xtalk::prelude::*;
-use xtalk_bench::{build_design, Design};
+use xtalk_bench::{build_design, exec_config, Design};
 
 const MODE: AnalysisMode = AnalysisMode::OneStep;
 
@@ -57,11 +57,12 @@ fn reroute(net: &str, scale: f64) -> Edit {
 fn bench_single_net_edit(c: &mut Criterion) {
     let (config, label, one_shot) = scale();
     let d: Design = build_design(&config);
-    let mut eco = IncrementalSta::new(
+    let mut eco = IncrementalSta::with_config(
         d.netlist.clone(),
         &d.library,
         &d.process,
         d.parasitics.clone(),
+        exec_config(),
     )
     .expect("incremental sta");
     eco.analyze(MODE).expect("warm cache");

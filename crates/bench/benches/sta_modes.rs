@@ -45,7 +45,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 use xtalk::prelude::*;
-use xtalk_bench::{build_design, Design};
+use xtalk_bench::{build_design, exec_config, Design};
 
 fn scale() -> (GeneratorConfig, &'static str, bool) {
     match std::env::var("XTALK_STA_SCALE").as_deref() {
@@ -75,7 +75,7 @@ fn bench_sta_modes(c: &mut Criterion) {
         // never used, and constructing it would characterize the design's
         // macromodel arcs — minutes of Newton work whose heap
         // churn would precede (and perturb) the timed exec-layer rows.
-        let sta = Sta::new(&d.netlist, &d.library, &d.process, &d.parasitics).expect("sta");
+        let sta = d.sta();
         let mut group = c.benchmark_group("sta_modes");
         group.sample_size(10);
         for mode in MODES {
@@ -127,7 +127,7 @@ fn cpu_seconds() -> Option<f64> {
 /// record per measurement to `BENCH_sta.json`.
 fn report_exec_layer(d: &Design, label: &str) {
     let mode = AnalysisMode::Iterative { esperance: false };
-    let threads = ExecConfig::from_env().expect("exec config").threads;
+    let threads = exec_config().threads;
 
     // The baseline / cached_cold / cached_warm rows run in signoff so they
     // stay comparable with every record taken before the macromodel fast
@@ -149,9 +149,7 @@ fn report_exec_layer(d: &Design, label: &str) {
         &d.library,
         &d.process,
         &d.parasitics,
-        ExecConfig::from_env()
-            .expect("exec config")
-            .with_signoff(true),
+        exec_config().with_signoff(true),
     )
     .expect("sta");
     let (cached, cached_wall, cached_cpu) = timed(|| cached_sta.analyze(mode).expect("cached"));
@@ -204,9 +202,7 @@ fn report_exec_layer(d: &Design, label: &str) {
             &d.library,
             &d.process,
             &d.parasitics,
-            ExecConfig::from_env()
-                .expect("exec config")
-                .with_signoff(false),
+            exec_config().with_signoff(false),
         )
         .expect("sta")
     });
@@ -367,8 +363,7 @@ fn report_graph_layer(d: &Design, label: &str) -> Vec<String> {
     };
     let (_, build_wall, build_cpu) = timed(|| {
         for _ in 0..iters {
-            let sta =
-                Sta::new(&d.netlist, &d.library, &d.process, &d.parasitics).expect("build sta");
+            let sta = d.sta();
             black_box(sta.graph().arc_count());
         }
     });
@@ -595,7 +590,7 @@ fn report_serve_layer(d: &Design, label: &str) -> Vec<String> {
         let daemon = Daemon::bind(
             ServeConfig::new(socket)
                 .with_store(Some(store.to_path_buf()))
-                .with_exec(ExecConfig::from_env().expect("exec config")),
+                .with_exec(exec_config()),
         )
         .expect("bind daemon");
         std::thread::spawn(move || daemon.run().expect("daemon run"))
@@ -690,7 +685,7 @@ fn report_serve_layer(d: &Design, label: &str) -> Vec<String> {
 fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
     let corners = Corner::default_matrix();
     let mode = AnalysisMode::OneStep;
-    let exec = || ExecConfig::from_env().expect("exec config");
+    let exec = || exec_config();
     let mut rows = Vec::new();
 
     // The per-corner characterization is timed apart from the solves
@@ -775,7 +770,7 @@ fn report_scenario_layer(d: &Design, label: &str) -> Vec<String> {
 fn report_char_layer(d: &Design, label: &str) -> Vec<String> {
     use xtalk::wave::macromodel::{char_solves, clear_store, store_digest};
     let mode = AnalysisMode::OneStep;
-    let threads = ExecConfig::from_env().expect("exec config").threads;
+    let threads = exec_config().threads;
     let mut rows = Vec::new();
 
     // Experiment 1: serial vs pooled prewarm (the `Sta` build is the
@@ -800,7 +795,7 @@ fn report_char_layer(d: &Design, label: &str) -> Vec<String> {
             &d.library,
             &d.process,
             &d.parasitics,
-            ExecConfig::from_env().expect("exec config"),
+            exec_config(),
         )
         .expect("pooled prewarm sta")
     });
@@ -849,9 +844,7 @@ fn report_char_layer(d: &Design, label: &str) -> Vec<String> {
             &d.process,
             &d.parasitics,
             corners.clone(),
-            ExecConfig::from_env()
-                .expect("exec config")
-                .with_char_store(Some(store_path.clone())),
+            exec_config().with_char_store(Some(store_path.clone())),
         )
         .expect("char-store scenario");
         timed(move || matrix.run(&[mode]).expect("char-store matrix run"))
@@ -955,7 +948,7 @@ fn bench_graph_build(c: &mut Criterion) {
     let d = build_design(&config);
     c.bench_function("timing_graph_build", |b| {
         b.iter(|| {
-            let sta = Sta::new(&d.netlist, &d.library, &d.process, &d.parasitics).expect("sta");
+            let sta = d.sta();
             black_box(sta.graph().arc_count())
         })
     });

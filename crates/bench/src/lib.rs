@@ -36,6 +36,27 @@ pub struct Design {
     pub prep_seconds: f64,
 }
 
+impl Design {
+    /// A batch analyzer over the design with [`exec_config`].
+    pub fn sta(&self) -> Sta<'_> {
+        Sta::with_config(
+            &self.netlist,
+            &self.library,
+            &self.process,
+            &self.parasitics,
+            exec_config(),
+        )
+        .expect("timing graph builds")
+    }
+}
+
+/// The analyzer configuration the `XTALK_*` variables select, as the
+/// `xtalk` CLI reads them (`XTALK_THREADS=2` sizes the worker pool); a
+/// malformed variable stops the run.
+pub fn exec_config() -> ExecConfig {
+    xtalk::exec::exec_config_from_env().expect("well-formed XTALK_* variables")
+}
+
 /// Builds the full physical flow for a generator config.
 pub fn build_design(config: &GeneratorConfig) -> Design {
     let started = Instant::now();
@@ -281,14 +302,7 @@ pub fn simulate_spec(design: &Design, spec: &SimSpec, rounds: usize) -> Option<S
 
 /// Runs one analysis mode with wall-clock timing.
 pub fn run_mode(design: &Design, mode: AnalysisMode) -> ModeReport {
-    let sta = Sta::new(
-        &design.netlist,
-        &design.library,
-        &design.process,
-        &design.parasitics,
-    )
-    .expect("timing graph builds");
-    sta.analyze(mode).expect("analysis succeeds")
+    design.sta().analyze(mode).expect("analysis succeeds")
 }
 
 #[cfg(test)]

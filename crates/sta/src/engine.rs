@@ -59,9 +59,6 @@ pub enum StaError {
         /// Longest-path delay of the diverging pass, seconds.
         delay: f64,
     },
-    /// An execution-configuration environment variable held a malformed
-    /// value (see [`crate::exec::ConfigError`]).
-    Config(crate::exec::ConfigError),
     /// The analysis was cancelled cooperatively because its request
     /// deadline expired. The arrival state computed so far is discarded;
     /// cached results from *completed* passes are untouched, so a retry
@@ -85,7 +82,6 @@ impl std::fmt::Display for StaError {
                 "iterative refinement diverged (pass delay rose to {:.4} ns)",
                 delay * 1e9
             ),
-            StaError::Config(e) => write!(f, "execution configuration rejected: {e}"),
             StaError::DeadlineExceeded => {
                 write!(f, "request deadline exceeded (analysis cancelled)")
             }
@@ -98,7 +94,6 @@ impl std::error::Error for StaError {
         match self {
             StaError::Netlist(e) => Some(e),
             StaError::Stage { source, .. } => Some(source),
-            StaError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -107,12 +102,6 @@ impl std::error::Error for StaError {
 impl From<NetlistError> for StaError {
     fn from(e: NetlistError) -> Self {
         StaError::Netlist(e)
-    }
-}
-
-impl From<crate::exec::ConfigError> for StaError {
-    fn from(e: crate::exec::ConfigError) -> Self {
-        StaError::Config(e)
     }
 }
 
@@ -127,27 +116,20 @@ pub struct Sta<'a> {
 }
 
 impl<'a> Sta<'a> {
-    /// Builds the analyzer (expands the timing graph) with the environment
-    /// execution configuration ([`ExecConfig::from_env`]).
+    /// Builds the analyzer (expands the timing graph) with
+    /// `ExecConfig::default()`.
     ///
     /// # Errors
     ///
     /// [`StaError::Netlist`] when the netlist does not expand to a DAG or
-    /// references unknown cells; [`StaError::Config`] when an `XTALK_*`
-    /// environment override holds a malformed value.
+    /// references unknown cells.
     pub fn new(
         netlist: &'a Netlist,
         library: &'a Library,
         process: &'a Process,
         parasitics: &'a Parasitics,
     ) -> Result<Self, StaError> {
-        Self::with_config(
-            netlist,
-            library,
-            process,
-            parasitics,
-            ExecConfig::from_env()?,
-        )
+        Self::with_config(netlist, library, process, parasitics, ExecConfig::default())
     }
 
     /// Builds the analyzer with an explicit execution configuration.

@@ -21,21 +21,17 @@
 //! characterizes exactly the design's missing arcs, on the same worker
 //! pool, so no pass ever looks a model up.
 //!
-//! [`ExecConfig`] is the user-facing knob set: thread count
-//! (`--threads` / `XTALK_THREADS`; 1 preserves the fully serial path),
-//! the small-batch serial cutoff, the reuse switch (`XTALK_CACHE`),
-//! fail-fast mode (`--strict` / `XTALK_STRICT`), signoff mode
-//! (`--signoff` / `XTALK_SIGNOFF`), the PVT corner list (`--corners` /
-//! `XTALK_CORNERS`) and the characterization store path (`--char-store` /
-//! `XTALK_CHAR_STORE`). Malformed environment values are a typed
-//! [`ConfigError`].
+//! [`ExecConfig`] is the analyzer's knob set, passed by value: thread
+//! count (1 preserves the fully serial path), the small-batch serial
+//! cutoff, solve reuse, fail-fast mode, signoff mode, the PVT corner list
+//! and the characterization store path. The analyzers read no environment;
+//! the `xtalk` front end maps its flags and `XTALK_*` variables onto it.
 
 pub(crate) mod cache;
 pub(crate) mod memo;
 pub(crate) mod pool;
 pub(crate) mod wavefront;
 
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,67 +52,9 @@ fn deadline_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// A rejected execution-configuration value.
-///
-/// Environment overrides used to fall back to defaults silently when a
-/// variable held junk (`XTALK_THREADS=banana` quietly ran with auto
-/// threads). A long-lived service cannot afford that: a typo in a deploy
-/// manifest must fail loudly at startup, not degrade performance for weeks.
-/// [`ExecConfig::from_env`] therefore rejects malformed values with this
-/// typed error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ConfigError {
-    /// An environment variable held a value that does not parse.
-    InvalidEnv {
-        /// The variable name (e.g. `XTALK_THREADS`).
-        var: &'static str,
-        /// The rejected value, verbatim.
-        value: String,
-        /// What the variable accepts.
-        expected: &'static str,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::InvalidEnv {
-                var,
-                value,
-                expected,
-            } => {
-                write!(f, "{var}: invalid value `{value}` (expected {expected})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-fn env_err(var: &'static str, value: &str, expected: &'static str) -> ConfigError {
-    ConfigError::InvalidEnv {
-        var,
-        value: value.to_string(),
-        expected,
-    }
-}
-
-/// Parses an on/off switch value (`1`/`on`/`true`/`yes` vs
-/// `0`/`off`/`false`/`no`).
-fn parse_switch(var: &'static str, value: &str) -> Result<bool, ConfigError> {
-    match value {
-        "1" | "on" | "true" | "yes" => Ok(true),
-        "0" | "off" | "false" | "no" => Ok(false),
-        other => Err(env_err(
-            var,
-            other,
-            "one of 1/on/true/yes or 0/off/false/no",
-        )),
-    }
-}
-
-/// Execution configuration of an analyzer: parallelism and caching.
+/// Execution configuration of an analyzer: parallelism, reuse and modes.
+/// [`crate::Sta::new`] and [`crate::IncrementalSta::new`] use `Default`;
+/// every other caller sets it by value with the `with_*` methods.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker count for parallel passes. `1` runs the engine on the fully
@@ -164,66 +102,6 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration with environment overrides applied:
-    /// `XTALK_THREADS` (integer; `1` = serial, `0`/unset = auto),
-    /// `XTALK_CACHE` (on/off switch for solve reuse), `XTALK_STRICT`
-    /// (on/off switch), `XTALK_SIGNOFF` (on/off switch for the bit-exact
-    /// full-solver mode), `XTALK_CORNERS` (comma-separated corner list)
-    /// and `XTALK_CHAR_STORE` (store path; empty = none).
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] when a variable is set to a value that does not
-    /// parse — malformed overrides are rejected, never silently replaced
-    /// by defaults. (A variable holding non-Unicode bytes is treated as
-    /// unset.)
-    pub fn from_env() -> Result<Self, ConfigError> {
-        Self::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`ExecConfig::from_env`] over an explicit variable lookup — the
-    /// testable core, so unit tests never mutate the process environment.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] when a looked-up value does not parse.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
-        let mut config = ExecConfig::default();
-        if let Some(threads) = get("XTALK_THREADS") {
-            match threads.trim().parse::<usize>() {
-                // 0 keeps the auto (available-parallelism) default.
-                Ok(0) => {}
-                Ok(n) => config.threads = n,
-                Err(_) => {
-                    return Err(env_err(
-                        "XTALK_THREADS",
-                        &threads,
-                        "a non-negative integer (0 = auto)",
-                    ))
-                }
-            }
-        }
-        if let Some(cache) = get("XTALK_CACHE") {
-            config.cache = parse_switch("XTALK_CACHE", cache.trim())?;
-        }
-        if let Some(strict) = get("XTALK_STRICT") {
-            config.strict = parse_switch("XTALK_STRICT", strict.trim())?;
-        }
-        if let Some(signoff) = get("XTALK_SIGNOFF") {
-            config.signoff = parse_switch("XTALK_SIGNOFF", signoff.trim())?;
-        }
-        if let Some(corners) = get("XTALK_CORNERS") {
-            config.corners = Some(parse_corners("XTALK_CORNERS", &corners)?);
-        }
-        if let Some(path) = get("XTALK_CHAR_STORE") {
-            let path = path.trim();
-            // An empty value means "no store", so deploy manifests can
-            // blank the variable without deleting it.
-            config.char_store = (!path.is_empty()).then(|| PathBuf::from(path));
-        }
-        Ok(config)
-    }
-
     /// A fully serial configuration (single thread, cache on).
     #[must_use]
     pub fn serial() -> Self {
@@ -281,23 +159,6 @@ impl ExecConfig {
         self.char_store = path;
         self
     }
-}
-
-/// Parses a comma-separated corner list through the typed-error path
-/// shared by `--corners` and `XTALK_CORNERS`: an unknown (or duplicate, or
-/// empty) corner name is a [`ConfigError`], never a silent default.
-///
-/// # Errors
-///
-/// [`ConfigError::InvalidEnv`] naming the offending token.
-pub fn parse_corners(var: &'static str, spec: &str) -> Result<Vec<Corner>, ConfigError> {
-    Corner::parse_list(spec).map_err(|bad| {
-        env_err(
-            var,
-            &bad,
-            "a comma-separated list of distinct corner names from {ss, tt, ff}",
-        )
-    })
 }
 
 /// A contained fault of the characterization store at `path`.
@@ -610,95 +471,6 @@ mod tests {
         assert!(!c.cache);
         assert_eq!(ExecConfig::serial().threads, 1);
         assert_eq!(ExecConfig::default().with_threads(0).threads, 1);
-    }
-
-    fn lookup<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| (*v).to_string())
-        }
-    }
-
-    #[test]
-    fn env_overrides_parse_valid_values() {
-        let c = ExecConfig::from_lookup(lookup(&[
-            ("XTALK_THREADS", "3"),
-            ("XTALK_CACHE", "off"),
-            ("XTALK_STRICT", "1"),
-            ("XTALK_SIGNOFF", "on"),
-        ]))
-        .expect("valid overrides");
-        assert_eq!(c.threads, 3);
-        assert!(!c.cache);
-        assert!(c.strict);
-        assert!(c.signoff);
-        assert!(!ExecConfig::default().signoff, "fast path is the default");
-        // 0 threads keeps the auto default; unset vars keep every default.
-        let auto = ExecConfig::from_lookup(lookup(&[("XTALK_THREADS", "0")])).expect("auto");
-        assert_eq!(auto.threads, ExecConfig::default().threads);
-        let plain = ExecConfig::from_lookup(lookup(&[])).expect("no overrides");
-        assert!(plain.cache, "reuse is on by default");
-    }
-
-    #[test]
-    fn junk_threads_is_a_typed_error_not_a_silent_default() {
-        for bad in ["banana", "-2", "1.5", ""] {
-            let e = ExecConfig::from_lookup(lookup(&[("XTALK_THREADS", bad)]))
-                .expect_err("junk must be rejected");
-            let ConfigError::InvalidEnv { var, value, .. } = &e;
-            assert_eq!(*var, "XTALK_THREADS");
-            assert_eq!(value, bad);
-            assert!(e.to_string().contains("XTALK_THREADS"), "{e}");
-        }
-    }
-
-    #[test]
-    fn corners_env_parses_known_names_in_order() {
-        let c = ExecConfig::from_lookup(lookup(&[("XTALK_CORNERS", "ss, tt ,ff")]))
-            .expect("valid corner list");
-        let names: Vec<String> = c
-            .corners
-            .expect("corners set")
-            .iter()
-            .map(|k| k.name.clone())
-            .collect();
-        assert_eq!(names, ["ss", "tt", "ff"]);
-        let single = ExecConfig::from_lookup(lookup(&[("XTALK_CORNERS", "ss")])).expect("one");
-        assert_eq!(single.corners.expect("set").len(), 1);
-        assert!(
-            ExecConfig::from_lookup(lookup(&[]))
-                .expect("unset")
-                .corners
-                .is_none(),
-            "no corners env keeps the single-process default"
-        );
-    }
-
-    #[test]
-    fn unknown_corner_name_is_a_typed_error() {
-        for (spec, bad) in [
-            ("ss,zz", "zz"),
-            ("fast", "fast"),
-            ("ss,,tt", ""),
-            ("ss,ss", "ss"),
-        ] {
-            let e = ExecConfig::from_lookup(lookup(&[("XTALK_CORNERS", spec)]))
-                .expect_err("junk corner must be rejected");
-            let ConfigError::InvalidEnv { var, value, .. } = &e;
-            assert_eq!(*var, "XTALK_CORNERS");
-            assert_eq!(value, bad, "spec {spec:?}");
-            assert!(e.to_string().contains("XTALK_CORNERS"), "{e}");
-        }
-    }
-
-    #[test]
-    fn junk_switches_and_modes_are_rejected() {
-        assert!(ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "maybe")])).is_err());
-        assert!(ExecConfig::from_lookup(lookup(&[("XTALK_STRICT", "2")])).is_err());
-        assert!(ExecConfig::from_lookup(lookup(&[("XTALK_SIGNOFF", "sorta")])).is_err());
-        let on = ExecConfig::from_lookup(lookup(&[("XTALK_CACHE", "yes")])).expect("switch");
-        assert!(on.cache);
     }
 
     #[test]

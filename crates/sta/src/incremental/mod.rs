@@ -150,26 +150,20 @@ pub struct IncrementalSta<'a> {
 }
 
 impl<'a> IncrementalSta<'a> {
-    /// Builds the analyzer, taking ownership of the mutable design data.
+    /// Builds the analyzer with `ExecConfig::default()`, taking ownership
+    /// of the mutable design data.
     ///
     /// # Errors
     ///
     /// [`StaError::Netlist`] when the netlist does not expand to a timing
-    /// graph; [`StaError::Config`] when an `XTALK_*` environment override
-    /// holds a malformed value.
+    /// graph.
     pub fn new(
         netlist: Netlist,
         library: &'a Library,
         process: &'a Process,
         parasitics: Parasitics,
     ) -> Result<Self, StaError> {
-        Self::with_config(
-            netlist,
-            library,
-            process,
-            parasitics,
-            ExecConfig::from_env()?,
-        )
+        Self::with_config(netlist, library, process, parasitics, ExecConfig::default())
     }
 
     /// Builds the analyzer with an explicit execution configuration.
@@ -268,10 +262,18 @@ impl<'a> IncrementalSta<'a> {
         self.last_stats
     }
 
-    /// A batch analyzer over the current design state, for reference runs.
+    /// A batch analyzer over the current design state with this analyzer's
+    /// [`ExecConfig`], for reference runs: `eco --check` compares runs of
+    /// one configuration.
     pub fn fresh_sta(&self) -> Sta<'_> {
-        Sta::new(&self.netlist, self.library, self.process, &self.parasitics)
-            .expect("current graph already built from this design")
+        Sta::with_config(
+            &self.netlist,
+            self.library,
+            self.process,
+            &self.parasitics,
+            self.exec.config().clone(),
+        )
+        .expect("current graph already built from this design")
     }
 
     fn ctx(&self) -> PropagationCore<'_> {
@@ -771,6 +773,45 @@ mod tests {
             report.critical_path.len(),
             fresh.critical_path.len(),
             "{mode}: path length"
+        );
+    }
+
+    /// A derived batch analyzer inherits its analyzer's configuration:
+    /// under signoff it reads no table and reproduces the signoff bits.
+    #[test]
+    fn fresh_sta_inherits_signoff() {
+        let f = fixture_small(22);
+        let config = ExecConfig::serial().with_signoff(true);
+        let mut inc = IncrementalSta::with_config(
+            f.netlist.clone(),
+            &f.library,
+            &f.process,
+            f.parasitics.clone(),
+            config.clone(),
+        )
+        .expect("inc");
+        let edit = format!("reroute {} 1.5", busy_net(&inc));
+        inc.apply(&Edit::parse_line(&edit, 1).expect("edit"))
+            .expect("apply");
+        let report = inc.analyze(AnalysisMode::OneStep).expect("eco");
+        assert_matches_fresh(&inc, &report, AnalysisMode::OneStep);
+        let fresh = inc.fresh_sta();
+        assert!(fresh.exec_config().signoff);
+        let batch = fresh.analyze(AnalysisMode::OneStep).expect("fresh");
+        assert_eq!(batch.table_hits, 0, "signoff serves no table");
+        let signoff = Sta::with_config(
+            inc.netlist(),
+            &f.library,
+            &f.process,
+            inc.parasitics(),
+            config,
+        )
+        .expect("sta")
+        .analyze(AnalysisMode::OneStep)
+        .expect("signoff");
+        assert_eq!(
+            batch.longest_delay.to_bits(),
+            signoff.longest_delay.to_bits()
         );
     }
 

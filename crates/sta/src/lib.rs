@@ -65,7 +65,7 @@ pub mod serve;
 pub use charstore::{open_shared as open_char_store, CharStore};
 pub use diag::{worst_severity, Diagnostic, FaultClass, Severity};
 pub use engine::{Sta, StaError};
-pub use exec::{CacheStats, ConfigError, ExecConfig};
+pub use exec::{CacheStats, ExecConfig};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::{Fault, FaultPlan, ServeFault, ServeFaultPlan};
 pub use incremental::{AnalyzeStats, Checkpoint, Edit, EditError, EditOutcome, IncrementalSta};

@@ -875,23 +875,17 @@ fn cmd_analyze(shared: &Shared, request: &Json) -> Json {
     Json::obj(fields)
 }
 
-/// Parses the request's `edits` array into typed edits (1-based line
-/// numbers for error messages, matching the script grammar).
+/// Parses the request's `edits` array, the lines of an edit script, by the
+/// script grammar `xtalk eco` uses ([`Edit::parse_script`]), so a bad edit
+/// reports its line in the script.
 fn edits_for(request: &Json) -> Result<Vec<Edit>, Json> {
     let Some(lines) = request.get("edits").and_then(Json::as_arr) else {
         return Err(error_response("request needs an `edits` array", None));
     };
-    let mut edits = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        let Some(text) = line.as_str() else {
-            return Err(error_response("`edits` must hold strings", None));
-        };
-        match Edit::parse_line(text, i + 1) {
-            Ok(edit) => edits.push(edit),
-            Err(e) => return Err(error_response(&e.to_string(), None)),
-        }
-    }
-    Ok(edits)
+    let Some(lines) = lines.iter().map(Json::as_str).collect::<Option<Vec<_>>>() else {
+        return Err(error_response("`edits` must hold strings", None));
+    };
+    Edit::parse_script(&lines.join("\n")).map_err(|e| error_response(&e.to_string(), None))
 }
 
 fn cmd_eco(shared: &Shared, request: &Json) -> Json {

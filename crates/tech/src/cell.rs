@@ -21,7 +21,6 @@ use crate::process::Process;
 /// polarity (NMOS/PMOS) is implied by which side of the stage the network
 /// sits on, so it is not stored per device.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Network {
     /// A single transistor whose gate is driven by stage input `input`.
     Device {
@@ -155,7 +154,6 @@ impl Network {
 
 /// What drives a stage input or receives a stage output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StageSignal {
     /// An external cell pin, by index into [`Cell::inputs`] (for stage
     /// inputs) or the cell output (for the final stage's output).
@@ -169,7 +167,6 @@ pub enum StageSignal {
 
 /// One complementary-CMOS stage of a cell.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stage {
     /// Signals driving the transistor gates; device `input` indices refer
     /// to this list.
@@ -222,7 +219,6 @@ impl Stage {
 
 /// The boolean function of a cell, for logic simulation and netlist I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Function {
     /// Logical inversion.
     Inv,
@@ -332,7 +328,6 @@ impl Function {
 
 /// Sequential behaviour of a cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeqSpec {
     /// Index of the data pin within [`Cell::inputs`].
     pub d_pin: usize,

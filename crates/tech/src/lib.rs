@@ -4,8 +4,6 @@
 //! analyzer (a reproduction of Ringe, Lindenkreuz & Barke, *"Static Timing
 //! Analysis Taking Crosstalk into Account"*, DATE 2000). It provides:
 //!
-//! - [`units`]: light-weight newtypes for the physical quantities that cross
-//!   API boundaries (volts, seconds, farads, ohms, microns).
 //! - [`mosfet`]: an analytical alpha-power-law MOSFET DC model with a
 //!   sub-threshold region — the "golden" device equations.
 //! - [`table`]: the paper's *table-based* device representation
@@ -44,7 +42,6 @@ pub mod library;
 pub mod mosfet;
 pub mod process;
 pub mod table;
-pub mod units;
 
 pub use cell::{Cell, Network, Stage};
 pub use corner::{Corner, CornerClass};

@@ -37,7 +37,6 @@ pub const THERMAL_VOLTAGE: f64 = 0.02585;
 
 /// Polarity of a MOS device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeviceType {
     /// N-channel device (pull-down networks).
     Nmos,
@@ -75,7 +74,6 @@ impl std::fmt::Display for DeviceType {
 /// (source-referenced, positive when the device conducts), so one set of
 /// equations serves both polarities.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MosfetParams {
     /// Device polarity this parameter set describes.
     pub device: DeviceType,

@@ -12,7 +12,6 @@ use crate::table::DeviceTable;
 
 /// Electrical description of one routing layer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerTech {
     /// Layer name ("M1", "M2", ...).
     pub name: String,

@@ -32,7 +32,6 @@ pub const TABLE_REF_WIDTH: f64 = 1.0e-6;
 /// negative `Vds` uses the MOS symmetry relation, so callers can evaluate a
 /// device in either orientation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceTable {
     /// Parameters the table was sampled from (kept for diagnostics).
     params: MosfetParams,

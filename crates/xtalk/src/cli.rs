@@ -21,15 +21,18 @@
 //! Each command accepts only the flags its usage line names; any other
 //! flag (a typo such as `--thread`) is a configuration error, exit 2.
 //!
+//! Every `XTALK_*` variable is read through [`crate::exec`]: a flag
+//! overrides its variable, a value means the same from either source, and
+//! a malformed value from either is a configuration error, exit 2.
 //! `--threads N` sizes the wavefront scheduler's worker pool (`1` forces
-//! the serial engine); it overrides the `XTALK_THREADS` environment
-//! variable. `XTALK_CACHE=0` disables solve reuse: the per-stage memo, and
-//! in `serve --store` the daemon's keyed solve cache.
+//! the serial engine, `0` picks one worker per core). `XTALK_CACHE=0`
+//! disables solve reuse: the per-stage memo, and in `serve --store` the
+//! daemon's keyed solve cache.
 //!
 //! Recoverable analysis faults degrade to conservative bounds and are
 //! listed as diagnostics; [`run_with_code`] keys the exit code to the worst
-//! severity (0 clean, 2 warnings, 3 substituted bounds). `--strict` (or
-//! `XTALK_STRICT=1`) fails fast on the first fault instead.
+//! severity (0 clean, 2 warnings, 3 substituted bounds). `--strict` fails
+//! fast on the first fault instead.
 //!
 //! `eco` replays an edit script (one edit per line: `resize <gate> <cell>`,
 //! `reroute <net> <scale>`, `buffer <net> [cell]`, `uncouple <a> <b>`;
@@ -46,14 +49,16 @@ use xtalk_sta::serve::proto::exit_code_for;
 use xtalk_sta::{AnalysisMode, ExecConfig, IncrementalSta, ModeReport, Severity, Sta};
 use xtalk_tech::{Library, Process};
 
+use crate::exec;
+
 /// A CLI failure, printed to stderr by the binary.
 #[derive(Debug)]
 pub struct CliError {
     /// User-facing message.
     pub message: String,
     /// Process exit code: 1 for fatal errors, 2 for configuration errors
-    /// (bad `--corners`/`XTALK_CORNERS` and friends), matching the
-    /// warning tier of the severity map so scripts can branch on it.
+    /// (a malformed flag or `XTALK_*` value, an unknown flag), matching
+    /// the warning tier of the severity map so scripts can branch on it.
     pub code: u8,
 }
 
@@ -87,15 +92,6 @@ impl From<LoadError> for CliError {
     }
 }
 
-impl From<xtalk_sta::ConfigError> for CliError {
-    fn from(e: xtalk_sta::ConfigError) -> Self {
-        CliError {
-            message: e.to_string(),
-            code: 2,
-        }
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 xtalk — crosstalk-aware static timing analysis (DATE 2000 reproduction)
@@ -125,6 +121,10 @@ CLIENT ACTIONS (against a running `xtalk serve`):
   query <design> <net> [--mode MODE] [--period NS] [--corner NAME]
   compact | stats | shutdown
 
+SETTINGS: a flag overrides its XTALK_* variable, a value means the same from
+either source (a switch's --flag=VALUE takes 1/on/true/yes or 0/off/false/no),
+and a malformed value from either is a configuration error (exit 2).
+
 CORNERS: --corners ss,tt,ff (or XTALK_CORNERS) runs `report`/`analyze` as a
 scenario matrix: every named PVT corner analyzed over one shared engine,
 each corner's result bit-identical to a standalone single-corner run.
@@ -144,8 +144,8 @@ compact` does it on demand.
 
 MODES: best | doubled | worst | onestep | iterative (default) | esperance | min
 
-PARALLELISM: --threads N sizes the wavefront worker pool (1 = serial engine);
-overrides XTALK_THREADS.
+PARALLELISM: --threads N (or XTALK_THREADS) sizes the wavefront worker pool
+(1 = serial engine, 0 = one worker per core).
 
 CACHING: a per-stage memo answers every stage solve whose inputs are
 bit-identical to an earlier one — refinement passes, repeated modes, warm
@@ -261,9 +261,6 @@ fn save_netlist(path: &str, netlist: &Netlist, library: &Library) -> Result<(), 
     Ok(())
 }
 
-/// The flags [`exec_config`] reads, shared by every analysis command.
-const EXEC_FLAGS: &[&str] = &["threads", "strict", "signoff", "char-store"];
-
 /// The fault-injection hook's flag, accepted only where it is compiled in.
 const INJECT_FLAGS: &[&str] = if cfg!(feature = "fault-injection") {
     &["inject"]
@@ -271,16 +268,18 @@ const INJECT_FLAGS: &[&str] = if cfg!(feature = "fault-injection") {
     &[]
 };
 
-/// The flags that take no value: the argument after one is never read as
-/// its value, so `report --bits design.bench` keeps its netlist.
-const SWITCHES: &[&str] = &["bits", "glitch", "strict", "signoff", "check"];
+/// The flags besides the settings' switches that take no value: the
+/// argument after one is never read as its value, so `report --bits
+/// design.bench` keeps its netlist.
+const SWITCHES: &[&str] = &["bits", "glitch", "check"];
 
 /// Parsed `--name [value]` flags, in command-line order.
 type Flags<'a> = Vec<(&'a str, Option<&'a str>)>;
 
 /// Flag scanner: returns (positional args, flag lookup). A flag outside
-/// the `accepted` groups is a configuration error (exit 2) naming it, so
-/// a typo never quietly runs the defaults.
+/// the `accepted` groups and the settings `command` takes is a
+/// configuration error (exit 2) naming it, so a typo never quietly runs
+/// the defaults.
 fn split_flags<'a>(
     command: &str,
     args: &'a [String],
@@ -296,10 +295,11 @@ fn split_flags<'a>(
             if let Some((n, v)) = name.split_once('=') {
                 flags.push((n, Some(v)));
             } else {
-                let value = args
-                    .get(i + 1)
-                    .map(String::as_str)
-                    .filter(|v| !v.starts_with("--") && !SWITCHES.contains(&name));
+                let value = args.get(i + 1).map(String::as_str).filter(|v| {
+                    !v.starts_with("--")
+                        && !SWITCHES.contains(&name)
+                        && exec::takes_flag(command, name) != Some(true)
+                });
                 if value.is_some() {
                     i += 1;
                 }
@@ -310,10 +310,10 @@ fn split_flags<'a>(
         }
         i += 1;
     }
-    if let Some((name, _)) = flags
-        .iter()
-        .find(|(name, _)| !accepted.iter().any(|group| group.contains(name)))
-    {
+    if let Some((name, _)) = flags.iter().find(|(name, _)| {
+        !accepted.iter().any(|group| group.contains(name))
+            && exec::takes_flag(command, name).is_none()
+    }) {
         return Err(CliError {
             message: format!("{command}: unknown flag `--{name}` (see `xtalk help`)"),
             code: 2,
@@ -326,34 +326,10 @@ fn flag<'a>(flags: &[(&'a str, Option<&'a str>)], name: &str) -> Option<Option<&
     flags.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
-/// Builds the execution config from the environment, letting `--threads`
-/// override `XTALK_THREADS` and `--strict` force fail-fast mode.
-fn exec_config(flags: &[(&str, Option<&str>)]) -> Result<ExecConfig, CliError> {
-    let mut config = ExecConfig::from_env()?;
-    if let Some(threads) = flag(flags, "threads") {
-        let threads: usize = threads
-            .and_then(|t| t.parse().ok())
-            .filter(|&t| t >= 1)
-            .ok_or_else(|| err("--threads expects an integer >= 1"))?;
-        config = config.with_threads(threads);
-    }
-    if let Some(path) = flag(flags, "char-store") {
-        let path = path.ok_or_else(|| err("--char-store expects a file path"))?;
-        config = config.with_char_store(Some(std::path::PathBuf::from(path)));
-    }
-    if flag(flags, "strict").is_some() {
-        config = config.with_strict(true);
-    }
-    if flag(flags, "signoff").is_some() {
-        config = config.with_signoff(true);
-    }
-    if let Some(spec) = flag(flags, "corners") {
-        let spec = spec.ok_or_else(|| err("--corners expects a comma-separated corner list"))?;
-        // `--corners` wins over XTALK_CORNERS; an unknown name is a
-        // configuration error (exit 2) through the same typed path.
-        config = config.with_corners(Some(xtalk_sta::exec::parse_corners("--corners", spec)?));
-    }
-    Ok(config)
+/// The execution config of `command`: each setting it takes from its flag,
+/// else its `XTALK_*` variable.
+fn exec_config(command: &str, flags: &[(&str, Option<&str>)]) -> Result<ExecConfig, CliError> {
+    exec::exec_config(command, flags, &exec::process_env)
 }
 
 /// Test hook, compiled only in fault-injection builds: `--inject
@@ -476,17 +452,13 @@ fn cmd_report(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
     let (pos, flags) = split_flags(
         "report",
         args,
-        &[
-            EXEC_FLAGS,
-            &["spef", "mode", "period", "glitch", "bits", "corners"],
-            INJECT_FLAGS,
-        ],
+        &[&["spef", "mode", "period", "glitch", "bits"], INJECT_FLAGS],
     )?;
     let [netlist_path] = pos.as_slice() else {
         return Err(err(format!("report needs one netlist file\n\n{USAGE}")));
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
-    let config = exec_config(&flags)?;
+    let config = exec_config("report", &flags)?;
     let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     if let Some(corners) = config.corners.clone() {
@@ -714,7 +686,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags("liberty", args, &[&["cells", "char-store"]])?;
+    let (pos, flags) = split_flags("liberty", args, &[&["cells"]])?;
     let [output] = pos.as_slice() else {
         return Err(err(format!("liberty needs one output file\n\n{USAGE}")));
     };
@@ -734,11 +706,11 @@ fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
     // of re-sweeping the grid; sweeps it does run are appended for the next
     // invocation. The store cannot change the `.lib` bits — records are
     // bit-exact captures of the same deterministic sweep.
-    let store = match flag(&flags, "char-store").flatten() {
+    let store = match exec_config("liberty", &flags)?.char_store {
         Some(path) => {
-            let store = xtalk_sta::open_char_store(std::path::Path::new(path))
-                .map_err(|e| err(format!("{path}: {e}")))?;
-            store.load().map_err(|e| err(format!("{path}: {e}")))?;
+            let fail = |e: std::io::Error| err(format!("{}: {e}", path.display()));
+            let store = xtalk_sta::open_char_store(&path).map_err(fail)?;
+            store.load().map_err(fail)?;
             Some(store)
         }
         None => None,
@@ -786,14 +758,14 @@ fn cmd_liberty(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_sdf(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = split_flags("sdf", args, &[EXEC_FLAGS, &["mode", "spef"]])?;
+    let (pos, flags) = split_flags("sdf", args, &[&["mode", "spef"]])?;
     let [netlist_path, output] = pos.as_slice() else {
         return Err(err(format!(
             "sdf needs a netlist and an output file\n\n{USAGE}"
         )));
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
-    let config = exec_config(&flags)?;
+    let config = exec_config("sdf", &flags)?;
     let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     let sta = Sta::with_config(&d.netlist, &d.library, &d.process, &d.parasitics, config)
@@ -808,14 +780,14 @@ fn cmd_sdf(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_eco(args: &[String]) -> Result<(String, Option<Severity>), CliError> {
-    let (pos, flags) = split_flags("eco", args, &[EXEC_FLAGS, &["mode", "spef", "check"]])?;
+    let (pos, flags) = split_flags("eco", args, &[&["mode", "spef", "check"]])?;
     let [netlist_path, script_path] = pos.as_slice() else {
         return Err(err(format!(
             "eco needs a netlist and an edit script\n\n{USAGE}"
         )));
     };
     let mode = parse_mode(flag(&flags, "mode").flatten().unwrap_or("iterative"))?;
-    let config = exec_config(&flags)?;
+    let config = exec_config("eco", &flags)?;
     let char_store = config.char_store.clone();
     let d = load_design(netlist_path, flag(&flags, "spef").flatten())?;
     let script = std::fs::read_to_string(script_path)?;
@@ -880,18 +852,14 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let (pos, flags) = split_flags(
         "serve",
         args,
-        &[
-            EXEC_FLAGS,
-            &[
-                "socket",
-                "store",
-                "request-timeout",
-                "store-sync",
-                "compact-threshold",
-                "max-connections",
-                "max-inflight",
-            ],
-        ],
+        &[&[
+            "socket",
+            "store",
+            "store-sync",
+            "compact-threshold",
+            "max-connections",
+            "max-inflight",
+        ]],
     )?;
     if !pos.is_empty() {
         return Err(err(format!("serve takes only flags\n\n{USAGE}")));
@@ -902,10 +870,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let store = flag(&flags, "store")
         .flatten()
         .map(std::path::PathBuf::from);
-    let timeout_ms = request_timeout_ms(
-        flag(&flags, "request-timeout"),
-        std::env::var("XTALK_SERVE_TIMEOUT").ok(),
-    )?;
     let store_sync = match flag(&flags, "store-sync") {
         Some(v) => v
             .and_then(SyncPolicy::parse)
@@ -929,12 +893,12 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             None => Ok(None),
         }
     };
-    let mut config = ServeConfig::new(socket)
+    let config = ServeConfig::new(socket)
         .with_store(store)
-        .with_exec(exec_config(&flags)?)
-        .with_request_timeout(timeout_ms.map(std::time::Duration::from_millis))
+        .with_exec(exec_config("serve", &flags)?)
         .with_store_sync(store_sync)
         .with_compact_threshold(compact_threshold);
+    let mut config = exec::serve_config(config, &flags, &exec::process_env)?;
     if let Some(n) = parse_cap("max-connections")? {
         config = config.with_max_connections(n);
     }
@@ -950,32 +914,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         "served {} requests, {} sessions resident at shutdown\n",
         summary.requests, summary.sessions
     ))
-}
-
-/// The daemon's request timeout in milliseconds: `--request-timeout`
-/// (`flag`) wins over `XTALK_SERVE_TIMEOUT` (`env`); absent both, requests
-/// are unbounded. A malformed variable is a configuration error (exit 2),
-/// like every other `XTALK_*` override.
-fn request_timeout_ms(
-    flag: Option<Option<&str>>,
-    env: Option<String>,
-) -> Result<Option<u64>, CliError> {
-    match (flag, env) {
-        (Some(v), _) => Ok(Some(
-            v.and_then(|t| t.parse::<u64>().ok())
-                .ok_or_else(|| err("--request-timeout expects milliseconds"))?,
-        )),
-        (None, Some(v)) => match v.parse::<u64>() {
-            Ok(ms) => Ok(Some(ms)),
-            Err(_) => Err(xtalk_sta::ConfigError::InvalidEnv {
-                var: "XTALK_SERVE_TIMEOUT",
-                value: v,
-                expected: "a millisecond count",
-            }
-            .into()),
-        },
-        (None, None) => Ok(None),
-    }
 }
 
 /// The worst severity a client action's response reported, mapped back
@@ -1009,10 +947,12 @@ fn cmd_client(args: &[String]) -> Result<(String, i32), CliError> {
     let corner = match flag(&flags, "corner") {
         Some(c) => {
             let c = c.ok_or_else(|| err("--corner expects a corner name"))?;
-            if c != "base" {
-                // Validate locally through the typed configuration path
-                // (unknown corner = exit 2) before dialing the daemon.
-                xtalk_sta::exec::parse_corners("--corner", c)?;
+            if c != "base" && xtalk_tech::Corner::by_name(c).is_none() {
+                // Validate locally before dialing the daemon: an unknown
+                // corner is a configuration error (exit 2).
+                let message =
+                    format!("--corner: unknown corner `{c}` (expected base, ss, tt or ff)");
+                return Err(CliError { message, code: 2 });
             }
             Some(c)
         }
@@ -1038,12 +978,10 @@ fn cmd_client(args: &[String]) -> Result<(String, i32), CliError> {
             .map_err(io)?,
         ["analyze", design] => client.analyze(design, mode).map_err(io)?,
         ["eco", design, script] | ["what-if", design, script] => {
+            // The script's lines go out unfiltered: the daemon parses them
+            // by the script grammar and reports a bad edit by its line.
             let text = std::fs::read_to_string(script)?;
-            let lines: Vec<&str> = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .collect();
+            let lines: Vec<&str> = text.lines().collect();
             if pos[0] == "eco" {
                 client.eco(design, &lines).map_err(io)?
             } else {
@@ -1351,22 +1289,38 @@ mod tests {
 
     #[test]
     fn malformed_serve_timeout_is_a_config_error_with_exit_2() {
-        let e = request_timeout_ms(None, Some("soon".into())).unwrap_err();
+        use xtalk_sta::serve::ServeConfig;
+        // The daemon's config as text, from `--request-timeout` and
+        // `XTALK_SERVE_TIMEOUT`.
+        let serve = |flag: Option<&str>, var: Option<&str>| {
+            let flags: Vec<_> = flag
+                .map(|ms| ("request-timeout", Some(ms)))
+                .into_iter()
+                .collect();
+            let env = |name: &str| {
+                var.filter(|_| name == "XTALK_SERVE_TIMEOUT")
+                    .map(str::to_string)
+            };
+            exec::serve_config(ServeConfig::new("s.sock"), &flags, &env).map(|c| format!("{c:?}"))
+        };
+        let e = serve(None, Some("soon")).unwrap_err();
         assert_eq!(e.code, 2, "config errors exit 2: {e}");
         assert!(
             e.to_string().contains("XTALK_SERVE_TIMEOUT") && e.to_string().contains("soon"),
             "typed message names the variable and the bad value: {e}"
         );
-        assert_eq!(
-            request_timeout_ms(None, Some("250".into())).ok(),
-            Some(Some(250))
-        );
+        let e = serve(Some("soon"), None).unwrap_err();
+        assert_eq!(e.code, 2, "a malformed flag exits 2 as well: {e}");
+        assert!(e.to_string().contains("--request-timeout"), "{e}");
+        let timeout = |ms: &str| format!("request_timeout: Some({ms}ms)");
+        assert!(serve(None, Some("250"))
+            .expect("valid")
+            .contains(&timeout("250")));
         // The flag wins over the variable, malformed or not.
-        assert_eq!(
-            request_timeout_ms(Some(Some("40")), Some("soon".into())).ok(),
-            Some(Some(40))
-        );
-        assert_eq!(request_timeout_ms(None, None).ok(), Some(None));
+        let flagged = serve(Some("40"), Some("soon")).expect("flag wins");
+        assert!(flagged.contains(&timeout("40")), "{flagged}");
+        let unset = serve(None, None).expect("unset");
+        assert!(unset.contains("request_timeout: None"), "{unset}");
     }
 
     /// A client started before its daemon binds the socket keeps dialing
@@ -1589,6 +1543,33 @@ mod tests {
         assert!(e.to_string().contains("unknown gate"), "{e}");
     }
 
+    /// `eco --check` compares the incremental result with a batch run of
+    /// the same configuration, signoff included.
+    #[test]
+    fn eco_check_under_signoff_matches_batch() {
+        let bench = tmp("signoff_eco.bench");
+        run(&argv(&[
+            "generate", "--preset", "small", "--seed", "22", &bench,
+        ]))
+        .expect("generate");
+        let script = tmp("signoff_eco.eco");
+        std::fs::write(&script, "reroute n5 1.5\n").expect("write script");
+        let out = run(&argv(&[
+            "eco",
+            &bench,
+            &script,
+            "--check",
+            "--signoff",
+            "--threads",
+            "1",
+        ]))
+        .expect("eco --check --signoff");
+        assert!(
+            out.contains("check: incremental result matches batch re-analysis"),
+            "{out}"
+        );
+    }
+
     #[test]
     fn report_threads_flag_matches_serial_and_prints_solver_line() {
         let bench = tmp("t7.bench");
@@ -1624,11 +1605,32 @@ mod tests {
                 .map(str::to_string)
         };
         assert_eq!(delay(&serial), delay(&par));
-        assert!(run(&argv(&["report", &bench, "--threads", "0"])).is_err());
-        assert!(run(&argv(&["report", &bench, "--threads"])).is_err());
-        // `--flag=value` spells the same options as `--flag value`.
-        let spelled = run(&argv(&["report", &bench, "--mode=onestep", "--threads=1"]))
-            .expect("--flag=value report");
+        // 0 threads is auto, as it is for XTALK_THREADS.
+        let auto = run(&argv(&[
+            "report",
+            &bench,
+            "--mode",
+            "onestep",
+            "--threads",
+            "0",
+        ]))
+        .expect("auto threads");
+        assert_eq!(delay(&auto), delay(&serial));
+        for bad in [&["--threads"][..], &["--threads", "banana"]] {
+            let e = run(&argv(&[&["report", &bench][..], bad].concat())).unwrap_err();
+            assert_eq!(e.code, 2, "a malformed setting exits 2: {e}");
+            assert!(e.to_string().starts_with("--threads: "), "{e}");
+        }
+        // `--flag=value` spells the same options as `--flag value`, and a
+        // switch's `=off` leaves its mode off: the fast path runs.
+        let spelled = run(&argv(&[
+            "report",
+            &bench,
+            "--mode=onestep",
+            "--threads=1",
+            "--signoff=off",
+        ]))
+        .expect("--flag=value report");
         assert_eq!(mask_runtime(&spelled), mask_runtime(&serial));
         // There is no characterization schedule to pick: the flag is
         // unknown, a typed configuration error.

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod exec;
 
 pub use xtalk_layout as layout;
 pub use xtalk_netlist as netlist;

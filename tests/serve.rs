@@ -650,6 +650,71 @@ fn killed_daemon_leaves_a_recoverable_store_and_reclaimable_socket() {
     daemon.join().expect("daemon");
 }
 
+/// `xtalk client eco` and `what-if` send a script's lines as written, and
+/// the daemon reads them by the grammar `xtalk eco` uses: comment lines,
+/// blank lines and trailing comments are skipped, and a bad edit is
+/// reported by its line in the file.
+#[test]
+fn client_scripts_follow_the_eco_script_grammar() {
+    let bench = make_bench("grammar.bench", 26);
+    let path = bench.to_string_lossy().into_owned();
+    let net = busy_net(&bench);
+    let text = format!("# lengthen one net\n\nreroute {net} 1.5 # longer\n");
+    let script = tmp("grammar.eco");
+    std::fs::write(&script, &text).expect("write script");
+    let bad = tmp("grammar_bad.eco");
+    std::fs::write(
+        &bad,
+        format!("# two edits\nreroute {net} 1.5\nreroute {net}\n"),
+    )
+    .expect("write script");
+
+    // What `xtalk eco` computes: the script through the incremental engine.
+    let process = Process::c05um();
+    let library = Library::c05um(&process);
+    let (netlist, parasitics) =
+        xtalk::sta::design::load_design(&path, None, &process, &library).expect("load");
+    let mut eco = IncrementalSta::with_config(
+        netlist,
+        &library,
+        &process,
+        parasitics,
+        ExecConfig::serial(),
+    )
+    .expect("eco");
+    assert_eq!(eco.apply_script(&text).expect("script").len(), 1);
+    let report = eco.analyze(AnalysisMode::OneStep).expect("analyze");
+    let expected = format!("delay bits: {:016x}", report.longest_delay.to_bits());
+
+    let socket = tmp("grammar.sock");
+    let daemon = start_daemon(&socket, None);
+    let socket_arg = socket.to_string_lossy().into_owned();
+    let client = |args: &[&str]| {
+        let argv: Vec<String> = ["client", "--socket", &socket_arg]
+            .iter()
+            .chain(args)
+            .map(|a| a.to_string())
+            .collect();
+        cli::run(&argv)
+    };
+    let script = script.to_string_lossy().into_owned();
+    client(&["load", "d", &path]).expect("load");
+    let what_if = client(&["what-if", "d", &script, "--mode", "onestep"]).expect("what-if");
+    assert!(what_if.contains(&expected), "{what_if}");
+    let applied = client(&["eco", "d", &script]).expect("eco");
+    assert!(applied.starts_with("applied 1 edits"), "{applied}");
+    let analyzed = client(&["analyze", "d", "--mode", "onestep"]).expect("analyze");
+    assert!(analyzed.contains(&expected), "{analyzed}");
+    let e = client(&["eco", "d", &bad.to_string_lossy()]).expect_err("bad edit");
+    assert!(
+        e.to_string()
+            .contains("edit script line 3: reroute takes <net> <scale>"),
+        "{e}"
+    );
+    client(&["shutdown"]).expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 #[test]
 fn protocol_errors_are_typed_responses_not_hangups() {
     let bench = make_bench("errors.bench", 25);
